@@ -20,6 +20,7 @@
 #include "dataset/dataset.hpp"
 #include "dataset/factory.hpp"
 #include "gnn/model.hpp"
+#include "graph/canonical.hpp"
 #include "graph/generators.hpp"
 #include "graph/spectral.hpp"
 #include "maxcut/maxcut.hpp"
@@ -226,6 +227,33 @@ void BM_RandomRegularGraph(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomRegularGraph)->Arg(8)->Arg(15);
+
+// canonical_hash is the serving cache key; this row maps onto perfbench's
+// graph.hash_us. Args are (n, d): the serving classes (13,6), (14,4),
+// (14,5) and (14,6), plus n = 8 and n = 15. Each run cycles through 64
+// distinct graphs of the class so no single graph's branches are learned.
+void BM_CanonicalHash(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  Rng rng(static_cast<std::uint64_t>(n * 31 + d));
+  std::vector<Graph> graphs;
+  for (int i = 0; i < 64; ++i) {
+    graphs.push_back(random_regular_graph(n, d, rng));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(canonical_hash(graphs[next]));
+    next = (next + 1) % graphs.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_CanonicalHash)
+    ->Args({13, 6})
+    ->Args({14, 4})
+    ->Args({14, 5})
+    ->Args({14, 6})
+    ->Args({8, 3})
+    ->Args({15, 4});
 
 // ---- QAOA evaluation engine --------------------------------------------
 // Engine fast paths (phase table + fused RX layer + workspace reuse) vs

@@ -1,89 +1,14 @@
 #include "graph/canonical.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include "graph/refine.hpp"
 
 namespace qgnn {
 
 namespace {
 
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-std::uint64_t quantize_weight(double w) {
-  return static_cast<std::uint64_t>(std::llround(w * 1e9));
-}
-
 /// Marker mixed into an individualized node's color; any constant works as
 /// long as it is applied to exactly one node per run.
 constexpr std::uint64_t kIndividualizeMark = 0xd1b54a32d192ed03ULL;
-
-/// One round of sorted-neighborhood refinement: each node's new color
-/// hashes its old color with the sorted multiset of (neighbor color, edge
-/// weight) signatures. Old colors are folded in, so the partition only
-/// ever gets finer.
-std::vector<std::uint64_t> refine_round(const Graph& g,
-                                        const std::vector<std::uint64_t>& c) {
-  const int n = g.num_nodes();
-  std::vector<std::uint64_t> next(static_cast<std::size_t>(n));
-  std::vector<std::uint64_t> sig;
-  for (int v = 0; v < n; ++v) {
-    sig.clear();
-    sig.reserve(g.neighbors(v).size());
-    for (int u : g.neighbors(v)) {
-      sig.push_back(mix(c[static_cast<std::size_t>(u)],
-                        quantize_weight(g.edge_weight(u, v))));
-    }
-    std::sort(sig.begin(), sig.end());
-    std::uint64_t h = c[static_cast<std::size_t>(v)];
-    for (std::uint64_t s : sig) h = mix(h, s);
-    next[static_cast<std::size_t>(v)] = h;
-  }
-  return next;
-}
-
-/// Number of distinct values in `c`.
-std::size_t distinct_count(std::vector<std::uint64_t> c) {
-  std::sort(c.begin(), c.end());
-  return static_cast<std::size_t>(
-      std::unique(c.begin(), c.end()) - c.begin());
-}
-
-/// Refine to a fixed point: stop when a round no longer splits any color
-/// class (the class count is monotone non-decreasing and bounded by n, so
-/// this terminates within n rounds).
-std::vector<std::uint64_t> refine_stable(const Graph& g,
-                                         std::vector<std::uint64_t> c) {
-  std::size_t classes = distinct_count(c);
-  for (int round = 0; round < g.num_nodes(); ++round) {
-    std::vector<std::uint64_t> next = refine_round(g, c);
-    const std::size_t next_classes = distinct_count(next);
-    c = std::move(next);
-    if (next_classes == classes) break;
-    classes = next_classes;
-  }
-  return c;
-}
-
-std::vector<std::uint64_t> initial_colors(const Graph& g) {
-  std::vector<std::uint64_t> c(static_cast<std::size_t>(g.num_nodes()));
-  for (int v = 0; v < g.num_nodes(); ++v) {
-    c[static_cast<std::size_t>(v)] =
-        static_cast<std::uint64_t>(g.degree(v)) + 1;
-  }
-  return c;
-}
-
-/// Order-free combine of a color multiset into one 64-bit value.
-std::uint64_t combine_sorted(std::vector<std::uint64_t> colors) {
-  std::sort(colors.begin(), colors.end());
-  std::uint64_t h = static_cast<std::uint64_t>(colors.size()) *
-                    0x100000001b3ULL;
-  for (std::uint64_t c : colors) h = mix(h, c);
-  return h;
-}
 
 }  // namespace
 
@@ -91,31 +16,34 @@ std::vector<std::uint64_t> canonical_colors(const Graph& g) {
   const int n = g.num_nodes();
   if (n == 0) return {};
 
-  const std::vector<std::uint64_t> base = refine_stable(g, initial_colors(g));
+  ColorRefiner refiner(g);
+  std::vector<std::uint64_t> base = refiner.initial_colors();
+  refiner.refine_stable(base);
 
   // Individualize every node in turn. For already-discrete partitions this
   // is redundant but harmless; for regular graphs it is what separates
   // 1-WL-equivalent non-isomorphic pairs.
   std::vector<std::uint64_t> node_sigs(static_cast<std::size_t>(n));
+  std::vector<std::uint64_t> c;
   for (int v = 0; v < n; ++v) {
-    std::vector<std::uint64_t> c = base;
-    c[static_cast<std::size_t>(v)] =
-        mix(c[static_cast<std::size_t>(v)], kIndividualizeMark);
-    c = refine_stable(g, c);
+    const auto i = static_cast<std::size_t>(v);
+    c = base;
+    c[i] = hash_mix(c[i], kIndividualizeMark);
+    refiner.refine_stable(c);
     // The individualized node's own stable color is folded in separately:
     // it pins the signature to the chosen node's orbit, not just to the
     // whole-graph color distribution.
-    node_sigs[static_cast<std::size_t>(v)] =
-        mix(combine_sorted(c), c[static_cast<std::size_t>(v)]);
+    const std::uint64_t own = c[i];
+    node_sigs[i] = hash_mix(ColorRefiner::combine_sorted(c), own);
   }
-  std::sort(node_sigs.begin(), node_sigs.end());
+  sort_small(node_sigs.data(), n);
   return node_sigs;
 }
 
 std::uint64_t canonical_hash(const Graph& g) {
-  std::uint64_t h = mix(static_cast<std::uint64_t>(g.num_nodes()) + 1,
-                        static_cast<std::uint64_t>(g.num_edges()) + 1);
-  for (std::uint64_t s : canonical_colors(g)) h = mix(h, s);
+  std::uint64_t h = hash_mix(static_cast<std::uint64_t>(g.num_nodes()) + 1,
+                             static_cast<std::uint64_t>(g.num_edges()) + 1);
+  for (std::uint64_t s : canonical_colors(g)) h = hash_mix(h, s);
   return h;
 }
 

@@ -21,8 +21,12 @@ namespace qgnn {
 /// every regular pair below the smallest strongly-regular twins (16 nodes,
 /// Shrikhande vs. 4x4 rook) — beyond the dataset's 15-node ceiling.
 ///
-/// Cost is O(n^2 * m) worst case; negligible for serving-sized graphs.
-/// Edge weights are folded in by quantizing to 1e-9, matching wl_hash.
+/// Cost: about 30 µs per graph for the serving classes (n = 13..14,
+/// d = 4..6; about 67 refinement rounds per hash) on one 2.1 GHz Xeon core
+/// (BM_CanonicalHash), a fifth of a cache-hit round trip. Worst case is n
+/// individualizations of up to n rounds, each O(m + n^2) for n <= 32 and
+/// O(m + n log n) above. Edge weights are folded in by quantizing to 1e-9,
+/// matching wl_hash.
 ///
 /// Guarantees:
 ///  - isomorphic graphs (any relabelling, any edge insertion order) hash

@@ -1,58 +1,17 @@
 #include "graph/hash.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
 #include <vector>
+
+#include "graph/refine.hpp"
 
 namespace qgnn {
 
-namespace {
-
-std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-std::uint64_t quantize_weight(double w) {
-  return static_cast<std::uint64_t>(std::llround(w * 1e9));
-}
-
-}  // namespace
-
 std::uint64_t wl_hash(const Graph& g, int iterations) {
-  const int n = g.num_nodes();
-  // Initial colors: node degree.
-  std::vector<std::uint64_t> color(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v) {
-    color[static_cast<std::size_t>(v)] =
-        static_cast<std::uint64_t>(g.degree(v)) + 1;
-  }
-
-  for (int it = 0; it < iterations; ++it) {
-    std::vector<std::uint64_t> next(static_cast<std::size_t>(n));
-    for (int v = 0; v < n; ++v) {
-      // Multiset of (neighbor color, edge weight) signatures, order-free.
-      std::vector<std::uint64_t> sig;
-      sig.reserve(g.neighbors(v).size());
-      for (int u : g.neighbors(v)) {
-        std::uint64_t s = mix(color[static_cast<std::size_t>(u)],
-                              quantize_weight(g.edge_weight(u, v)));
-        sig.push_back(s);
-      }
-      std::sort(sig.begin(), sig.end());
-      std::uint64_t h = color[static_cast<std::size_t>(v)];
-      for (std::uint64_t s : sig) h = mix(h, s);
-      next[static_cast<std::size_t>(v)] = h;
-    }
-    color = std::move(next);
-  }
-
+  ColorRefiner refiner(g);
+  std::vector<std::uint64_t> color = refiner.initial_colors();
+  for (int it = 0; it < iterations; ++it) refiner.round(color);
   // Order-independent final combine: sorted multiset of node colors.
-  std::sort(color.begin(), color.end());
-  std::uint64_t h = static_cast<std::uint64_t>(n) * 0x100000001b3ULL;
-  for (std::uint64_t c : color) h = mix(h, c);
-  return h;
+  return ColorRefiner::combine_sorted(color);
 }
 
 }  // namespace qgnn

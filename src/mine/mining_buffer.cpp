@@ -5,7 +5,6 @@
 
 #include "dataset/features.hpp"
 #include "dataset/packed.hpp"
-#include "graph/canonical.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 
@@ -51,7 +50,10 @@ void MiningBuffer::observe(const Graph& g, const serve::Prediction& p) {
     return;  // not a (1 x 2p) angle row; nothing to relabel against
   }
 
-  const std::uint64_t hash = canonical_hash(g);
+  // The key the serving path minted for this request: the canonical hash,
+  // so isomorphic requests share novelty and dedup identity.
+  if (!p.key) return;
+  const std::uint64_t hash = p.key->value();
 
   std::lock_guard<std::mutex> lk(mutex_);
   // Novelty is judged against the buffer's lifetime memory: the first

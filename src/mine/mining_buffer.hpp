@@ -52,7 +52,10 @@ class MiningBuffer {
   explicit MiningBuffer(MiningConfig config = {});
 
   /// The prediction-tap target: decide whether (g, p) is a hard example
-  /// and enqueue it. Never throws.
+  /// and enqueue it. Novelty and dedup go by p.key, the canonical key the
+  /// serving path computed for this request (the buffer never hashes); a
+  /// Prediction without a key is counted as observed and never mined.
+  /// Never throws.
   void observe(const Graph& g, const serve::Prediction& p);
 
   std::size_t size() const;

@@ -244,8 +244,13 @@ void LatencyHistogram::reset() {
 // ---- MetricsRegistry ----------------------------------------------------
 
 MetricsRegistry& MetricsRegistry::global() {
-  static MetricsRegistry registry;
-  return registry;
+  // Intentionally leaked: threads that outlive static destruction hold
+  // metric handles into it. The global thread pool is destroyed after a
+  // function-local static registry, and its workers, woken to stop,
+  // record their last idle time into a Counter that would already be
+  // freed. A leaked singleton has no destruction order to get wrong.
+  static MetricsRegistry* registry = new MetricsRegistry();
+  return *registry;
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

@@ -7,10 +7,12 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "autograd/matrix.hpp"
 #include "graph/graph.hpp"
+#include "serve/graph_key.hpp"
 #include "util/annotations.hpp"
 
 namespace qgnn::serve {
@@ -19,9 +21,19 @@ namespace qgnn::serve {
 /// the duration of MicroBatcher::run. The executor fills the output
 /// fields; `done` is the completion flag (guarded by the batcher mutex).
 struct BatchRequest {
-  explicit BatchRequest(const Graph* g) : graph(g) {}
+  BatchRequest(const Graph* g, std::optional<GraphKey> k,
+               std::chrono::steady_clock::time_point admitted)
+      : graph(g), key(k), admit_time(admitted) {}
 
   const Graph* graph;
+  /// The graph's key, set whenever the cache or a prediction tap needs it;
+  /// the executor's cache insert uses it instead of hashing again.
+  std::optional<GraphKey> key;
+  /// When the request entered the serving queues (for a submitted request,
+  /// the submit-queue push): the queue-wait stage runs from here to batch
+  /// formation.
+  std::chrono::steady_clock::time_point admit_time;
+  /// Set by MicroBatcher::run; starts the max_delay deadline.
   std::chrono::steady_clock::time_point enqueue_time;
 
   // Filled by the executor:

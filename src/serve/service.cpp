@@ -55,15 +55,50 @@ Prediction ServeHandle::predict(const Graph& g) {
 
 Prediction ServeHandle::predict(const std::string& model_name,
                                 const Graph& g) {
-  QGNN_TRACE_SPAN(obs::names::kServePredictSpan);
-  const auto start = std::chrono::steady_clock::now();
-  {
-    std::lock_guard<std::mutex> lk(stats_mutex_);
-    if (!have_first_request_) {
-      have_first_request_ = true;
-      first_request_ = start;
-    }
+  return predict_keyed(model_name, g, std::nullopt, std::nullopt);
+}
+
+std::optional<GraphKey> ServeHandle::key_for(
+    const Graph& g, std::optional<GraphKey> carried) const {
+  if (carried || (!cache_.enabled() && !prediction_tap_)) return carried;
+  return GraphKey(canonical_hash(g));
+}
+
+void ServeHandle::note_first_request(Clock::time_point start) {
+  std::lock_guard<std::mutex> lk(stats_mutex_);
+  if (!have_first_request_) {
+    have_first_request_ = true;
+    first_request_ = start;
   }
+}
+
+void ServeHandle::answer_from_cache(Prediction& out, CachedPrediction cached,
+                                    const CacheKey& key, const Graph& g) {
+  out.values = std::move(cached.values);
+  out.generation = key.generation;
+  out.cache_hit = true;
+  if (config_.verify_ar && cached.ar_verified) {
+    out.approximation_ratio = cached.approximation_ratio;
+    out.ar_verified = true;
+  } else {
+    maybe_verify(out, g);
+    if (out.ar_verified) cache_.set_ar(key, out.approximation_ratio);
+  }
+}
+
+void ServeHandle::complete(Prediction& out, const Graph& g,
+                           Clock::time_point start) {
+  out.latency_us = elapsed_us(start, Clock::now());
+  record_latency(out.latency_us);
+  if (prediction_tap_) prediction_tap_(g, out);
+}
+
+Prediction ServeHandle::predict_keyed(
+    const std::string& model_name, const Graph& g,
+    std::optional<GraphKey> key, std::optional<Clock::time_point> admitted) {
+  QGNN_TRACE_SPAN(obs::names::kServePredictSpan);
+  const auto start = Clock::now();
+  note_first_request(start);
 
   // Fail fast (and per-request) on anything that would otherwise poison a
   // whole coalesced batch inside the executor.
@@ -74,37 +109,25 @@ Prediction ServeHandle::predict(const std::string& model_name,
 
   Prediction out;
   out.model = model_name;
+  out.key = key_for(g, key);
 
-  std::optional<CacheKey> key;
   if (cache_.enabled()) {
     const bool obs_on = obs::enabled();
-    const auto lookup_start = obs_on ? std::chrono::steady_clock::now()
-                                     : std::chrono::steady_clock::time_point{};
-    key.emplace(CacheKey{model_name, entry->generation, canonical_hash(g)});
-    auto cached = cache_.lookup(*key);
+    const auto lookup_start = obs_on ? Clock::now() : Clock::time_point{};
+    const CacheKey cache_key{model_name, entry->generation,
+                             out.key->value()};
+    auto cached = cache_.lookup(cache_key);
     if (obs_on) {
-      cache_lookup_us_.record(
-          elapsed_us(lookup_start, std::chrono::steady_clock::now()));
+      cache_lookup_us_.record(elapsed_us(lookup_start, Clock::now()));
     }
     if (cached) {
-      out.values = std::move(cached->values);
-      out.generation = entry->generation;
-      out.cache_hit = true;
-      if (config_.verify_ar && cached->ar_verified) {
-        out.approximation_ratio = cached->approximation_ratio;
-        out.ar_verified = true;
-      } else {
-        maybe_verify(out, g);
-        if (out.ar_verified) cache_.set_ar(*key, out.approximation_ratio);
-      }
-      out.latency_us = elapsed_us(start, std::chrono::steady_clock::now());
-      record_latency(out.latency_us);
-      if (prediction_tap_) prediction_tap_(g, out);
+      answer_from_cache(out, std::move(*cached), cache_key, g);
+      complete(out, g, start);
       return out;
     }
   }
 
-  BatchRequest req(&g);
+  BatchRequest req(&g, out.key, admitted.value_or(Clock::now()));
   batcher_for(model_name).run(req);  // blocks; rethrows executor errors
 
   out.values = std::move(req.result);
@@ -112,16 +135,16 @@ Prediction ServeHandle::predict(const std::string& model_name,
   out.batch_id = req.batch_id;
   out.batch_size = req.batch_size;
   maybe_verify(out, g);
-  if (key && out.ar_verified && req.generation == entry->generation) {
-    cache_.set_ar(*key, out.approximation_ratio);
+  if (cache_.enabled() && out.ar_verified &&
+      req.generation == entry->generation) {
+    cache_.set_ar(CacheKey{model_name, req.generation, out.key->value()},
+                  out.approximation_ratio);
   }
-  out.latency_us = elapsed_us(start, std::chrono::steady_clock::now());
-  record_latency(out.latency_us);
   {
     std::lock_guard<std::mutex> lk(stats_mutex_);
     ++batched_requests_;
   }
-  if (prediction_tap_) prediction_tap_(g, out);
+  complete(out, g, start);
   return out;
 }
 
@@ -132,15 +155,9 @@ std::vector<Prediction> ServeHandle::predict_many(
 
 std::vector<Prediction> ServeHandle::predict_many(
     const std::string& model_name, const std::vector<Graph>& graphs) {
-  const auto start = std::chrono::steady_clock::now();
+  const auto start = Clock::now();
   if (graphs.empty()) return {};
-  {
-    std::lock_guard<std::mutex> lk(stats_mutex_);
-    if (!have_first_request_) {
-      have_first_request_ = true;
-      first_request_ = start;
-    }
-  }
+  note_first_request(start);
 
   const auto entry = registry_.get(model_name);
   const int max_nodes = entry->model->config().features.max_nodes;
@@ -154,34 +171,19 @@ std::vector<Prediction> ServeHandle::predict_many(
     QGNN_REQUIRE(g.num_nodes() <= max_nodes,
                  "graph exceeds the model's feature config max_nodes");
     out[i].model = model_name;
+    out[i].key = key_for(g, std::nullopt);
     if (cache_.enabled()) {
       const bool obs_on = obs::enabled();
-      const auto lookup_start =
-          obs_on ? std::chrono::steady_clock::now()
-                 : std::chrono::steady_clock::time_point{};
-      const CacheKey key{model_name, entry->generation, canonical_hash(g)};
+      const auto lookup_start = obs_on ? Clock::now() : Clock::time_point{};
+      const CacheKey key{model_name, entry->generation,
+                         out[i].key->value()};
       auto cached = cache_.lookup(key);
       if (obs_on) {
-        cache_lookup_us_.record(
-            elapsed_us(lookup_start, std::chrono::steady_clock::now()));
+        cache_lookup_us_.record(elapsed_us(lookup_start, Clock::now()));
       }
       if (cached) {
-        out[i].values = std::move(cached->values);
-        out[i].generation = entry->generation;
-        out[i].cache_hit = true;
-        if (config_.verify_ar && cached->ar_verified) {
-          out[i].approximation_ratio = cached->approximation_ratio;
-          out[i].ar_verified = true;
-        } else {
-          maybe_verify(out[i], g);
-          if (out[i].ar_verified) {
-            cache_.set_ar(key, out[i].approximation_ratio);
-          }
-        }
-        out[i].latency_us =
-            elapsed_us(start, std::chrono::steady_clock::now());
-        record_latency(out[i].latency_us);
-        if (prediction_tap_) prediction_tap_(g, out[i]);
+        answer_from_cache(out[i], std::move(*cached), key, g);
+        complete(out[i], g, start);
         continue;
       }
     }
@@ -196,10 +198,9 @@ std::vector<Prediction> ServeHandle::predict_many(
     const std::size_t hi = std::min(misses.size(), lo + window);
     std::vector<BatchRequest> reqs;
     reqs.reserve(hi - lo);
-    const auto enqueue = std::chrono::steady_clock::now();
+    const auto admitted = Clock::now();  // queue-wait stage starts here
     for (std::size_t k = lo; k < hi; ++k) {
-      reqs.emplace_back(&graphs[misses[k]]);
-      reqs.back().enqueue_time = enqueue;  // queue-wait stage starts here
+      reqs.emplace_back(&graphs[misses[k]], out[misses[k]].key, admitted);
     }
     std::vector<BatchRequest*> ptrs;
     ptrs.reserve(reqs.size());
@@ -213,20 +214,18 @@ std::vector<Prediction> ServeHandle::predict_many(
     for (std::size_t k = lo; k < hi; ++k) {
       BatchRequest& r = reqs[k - lo];
       if (r.error) std::rethrow_exception(r.error);
+      const Graph& g = graphs[misses[k]];
       Prediction& p = out[misses[k]];
       p.values = std::move(r.result);
       p.generation = r.generation;
       p.batch_id = r.batch_id;
       p.batch_size = r.batch_size;
-      maybe_verify(p, graphs[misses[k]]);
+      maybe_verify(p, g);
       if (cache_.enabled() && p.ar_verified) {
-        cache_.set_ar(CacheKey{model_name, p.generation,
-                               canonical_hash(graphs[misses[k]])},
+        cache_.set_ar(CacheKey{model_name, p.generation, p.key->value()},
                       p.approximation_ratio);
       }
-      p.latency_us = elapsed_us(start, std::chrono::steady_clock::now());
-      record_latency(p.latency_us);
-      if (prediction_tap_) prediction_tap_(graphs[misses[k]], p);
+      complete(p, g, start);
     }
   }
   return out;
@@ -261,7 +260,7 @@ void ServeHandle::execute_batch(const std::string& model_name,
   if (obs_on || queue_wait_tap_) {
     stage_start = std::chrono::steady_clock::now();
     for (const BatchRequest* r : batch) {
-      const double wait = elapsed_us(r->enqueue_time, stage_start);
+      const double wait = elapsed_us(r->admit_time, stage_start);
       if (obs_on) queue_wait_us_.record(wait);
       if (queue_wait_tap_) queue_wait_tap_(wait);
     }
@@ -316,7 +315,7 @@ void ServeHandle::execute_batch(const std::string& model_name,
       for (std::size_t j = 0; j < rows.cols(); ++j) row(0, j) = rows(i, j);
       if (cache_.enabled()) {
         cache_.insert(CacheKey{model_name, entry->generation,
-                               canonical_hash(*batch[i]->graph)},
+                               batch[i]->key.value().value()},
                       row);
       }
       batch[i]->result = std::move(row);
@@ -357,64 +356,56 @@ bool ServeHandle::try_submit(Graph g, SubmitCallback done) {
   return try_submit(config_.default_model, std::move(g), std::move(done));
 }
 
-std::optional<Prediction> ServeHandle::try_cache_predict(const Graph& g) {
+CacheProbe ServeHandle::try_cache_predict(const Graph& g) {
   return try_cache_predict(config_.default_model, g);
 }
 
-std::optional<Prediction> ServeHandle::try_cache_predict(
-    const std::string& model_name, const Graph& g) {
-  if (!cache_.enabled()) return std::nullopt;
+CacheProbe ServeHandle::try_cache_predict(const std::string& model_name,
+                                          const Graph& g) {
+  CacheProbe probe;
+  if (!cache_.enabled()) return probe;
   std::shared_ptr<const ModelEntry> entry;
   try {
     entry = registry_.get(model_name);
   } catch (const Error&) {
-    return std::nullopt;  // slow path owns the error report
+    return probe;  // slow path owns the error report
   }
   if (g.num_nodes() < 1 ||
       g.num_nodes() > entry->model->config().features.max_nodes) {
-    return std::nullopt;
+    return probe;
   }
 
-  const auto start = std::chrono::steady_clock::now();
-  const CacheKey key{model_name, entry->generation, canonical_hash(g)};
+  const auto start = Clock::now();
+  probe.key = key_for(g, std::nullopt);
+  const bool obs_on = obs::enabled();
+  const auto lookup_start = obs_on ? Clock::now() : Clock::time_point{};
+  const CacheKey key{model_name, entry->generation, probe.key->value()};
   auto cached = cache_.probe(key);
-  if (!cached) return std::nullopt;
+  // A miss records no lookup sample: the submitted predict's authoritative
+  // lookup does, so every request contributes exactly one.
+  if (!cached) return probe;
+  if (obs_on) cache_lookup_us_.record(elapsed_us(lookup_start, Clock::now()));
 
-  {
-    std::lock_guard<std::mutex> lk(stats_mutex_);
-    if (!have_first_request_) {
-      have_first_request_ = true;
-      first_request_ = start;
-    }
-  }
+  note_first_request(start);
   Prediction out;
   out.model = model_name;
-  out.values = std::move(cached->values);
-  out.generation = entry->generation;
-  out.cache_hit = true;
-  if (config_.verify_ar && cached->ar_verified) {
-    out.approximation_ratio = cached->approximation_ratio;
-    out.ar_verified = true;
-  } else {
-    maybe_verify(out, g);
-    if (out.ar_verified) cache_.set_ar(key, out.approximation_ratio);
-  }
-  out.latency_us = elapsed_us(start, std::chrono::steady_clock::now());
-  record_latency(out.latency_us);
-  if (prediction_tap_) prediction_tap_(g, out);
-  return out;
+  out.key = probe.key;
+  answer_from_cache(out, std::move(*cached), key, g);
+  complete(out, g, start);
+  probe.hit = std::move(out);
+  return probe;
 }
 
 bool ServeHandle::try_submit(std::string model_name, Graph g,
-                             SubmitCallback done) {
+                             SubmitCallback done,
+                             std::optional<GraphKey> key) {
   QGNN_REQUIRE(done != nullptr, "try_submit requires a completion callback");
   {
     std::lock_guard<std::mutex> lk(submit_mutex_);
     if (submit_queue_.size() >= config_.submit_queue_cap) return false;
     if (submit_threads_.empty()) start_submit_workers_locked();
     submit_queue_.push_back(SubmitJob{std::move(model_name), std::move(g),
-                                      std::move(done),
-                                      std::chrono::steady_clock::now()});
+                                      key, std::move(done), Clock::now()});
   }
   submit_cv_.notify_one();
   return true;
@@ -460,19 +451,14 @@ void ServeHandle::submit_worker_main() {
       submit_queue_.pop_front();
       ++submits_in_flight_;
     }
-    // The submit-queue wait is queueing the batcher never sees (it starts
-    // its own clock at enqueue); record it into the same histogram so an
-    // overloaded submit pool shows up in queue-wait percentiles — and in
+    // The queue push was the request's admission: its queue-wait sample
+    // (recorded when its batch forms) covers the submit-queue wait too, so
+    // an overloaded submit pool shows up in queue-wait percentiles and in
     // the SLO tap that drives load shedding.
-    const double wait =
-        elapsed_us(job.enqueue_time, std::chrono::steady_clock::now());
-    if (obs::enabled()) queue_wait_us_.record(wait);
-    if (queue_wait_tap_) queue_wait_tap_(wait);
-
     Prediction p;
     std::exception_ptr error;
     try {
-      p = predict(job.model, job.graph);
+      p = predict_keyed(job.model, job.graph, job.key, job.enqueue_time);
     } catch (...) {
       error = std::current_exception();
     }

@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -15,6 +16,7 @@
 
 #include "obs/metrics.hpp"
 #include "serve/batcher.hpp"
+#include "serve/graph_key.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/prediction_cache.hpp"
 #include "util/annotations.hpp"
@@ -66,6 +68,19 @@ struct Prediction {
   /// only when ServeConfig::verify_ar is on and the graph is simulable.
   double approximation_ratio = 0.0;
   bool ar_verified = false;
+  /// The request graph's cache key, minted once by the handle and carried
+  /// to the prediction tap. Set whenever the cache or a tap needed it.
+  std::optional<GraphKey> key;
+};
+
+/// Outcome of ServeHandle::try_cache_predict.
+struct CacheProbe {
+  /// The answered request on a hit; nullopt on any miss.
+  std::optional<Prediction> hit;
+  /// The graph's key once it was computed (every hit, and every miss that
+  /// got as far as the cache). Pass it to try_submit with the same graph so
+  /// the request is not hashed again.
+  std::optional<GraphKey> key;
 };
 
 /// Aggregate serving metrics; the perf baseline future PRs diff against.
@@ -89,10 +104,10 @@ struct ServeStats {
   /// (obs::enabled()); all-zero summaries otherwise. Units are
   /// microseconds except batch_size, which counts requests per coalesced
   /// forward pass — its `sum` equals batched_requests.
-  obs::HistogramSummary queue_wait_us;    // enqueue -> batch formation
+  obs::HistogramSummary queue_wait_us;    // admission -> batch formation
   obs::HistogramSummary batch_form_us;    // union GraphBatch construction
   obs::HistogramSummary forward_us;       // model forward pass
-  obs::HistogramSummary cache_lookup_us;  // canonical hash + LRU probe
+  obs::HistogramSummary cache_lookup_us;  // LRU probe (key not included)
   obs::HistogramSummary batch_size;
   obs::HistogramSummary verify_us;        // verify_ar exact simulation
 
@@ -106,12 +121,14 @@ struct ServeStats {
 /// to call from any number of threads; the NDJSON CLI (examples/
 /// qgnn_serve.cpp), the tests, and serve_bench all drive this API.
 ///
-/// Request life cycle: resolve the model entry -> canonical-hash the graph
-/// and probe the cache -> on miss, enqueue into the model's MicroBatcher;
-/// the batch leader re-resolves the entry ONCE for the whole batch (so a
-/// hot-swap never mixes generations within a batch), fans per-request
-/// feature extraction out on the PR-1 thread pool, runs one block-diagonal
-/// forward pass, and distributes the per-graph rows. Batched rows are
+/// Request life cycle: resolve the model entry -> compute the graph's key
+/// (canonical_hash, once per request; the key then travels with the
+/// request) and probe the cache -> on miss, enqueue into the model's
+/// MicroBatcher; the batch leader re-resolves the entry ONCE for the whole
+/// batch (so a hot-swap never mixes generations within a batch), fans
+/// per-request feature extraction out on the PR-1 thread pool, runs one
+/// block-diagonal forward pass, and distributes the per-graph rows, caching
+/// each under the key its request carried. Batched rows are
 /// bit-identical to single-request predictions at any thread count: the
 /// union batch shares no state across member graphs and every per-node
 /// kernel accumulates in the same order as the single-graph path.
@@ -163,24 +180,27 @@ class ServeHandle {
   /// predict (same cache, batcher, and verify paths — results are
   /// bit-identical to the blocking API) and invokes `done`. Returns
   /// false without enqueueing when submit_queue_cap is reached — the
-  /// overload signal the serving tier's load shedding acts on. Queue
-  /// wait (enqueue to worker pickup) is recorded into the same
-  /// queue-wait histogram the batcher feeds, and into the tap.
-  bool try_submit(std::string model_name, Graph g, SubmitCallback done);
+  /// overload signal the serving tier's load shedding acts on. The push
+  /// is the request's admission: its one queue-wait sample (histogram
+  /// and tap) runs from here to the start of its batch. `key` is the
+  /// CacheProbe::key of a try_cache_predict on this same graph, if any;
+  /// without it the worker computes the key.
+  bool try_submit(std::string model_name, Graph g, SubmitCallback done,
+                  std::optional<GraphKey> key = std::nullopt);
   bool try_submit(Graph g, SubmitCallback done);
 
   /// Non-blocking cache fast path for event-loop callers: when the graph
   /// is already cached, return the full hit-path Prediction (recency
   /// refreshed, hit counted, verify/latency bookkeeping identical to
-  /// predict()) without touching the submit queue or workers — an
-  /// event-loop thread can answer a hit inline instead of paying two
-  /// thread handoffs. Any miss, unknown model, invalid graph, or
-  /// disabled cache returns nullopt with no side effects; the caller
-  /// falls through to try_submit, whose predict owns both the miss
-  /// accounting and the error report.
-  std::optional<Prediction> try_cache_predict(const std::string& model_name,
-                                              const Graph& g);
-  std::optional<Prediction> try_cache_predict(const Graph& g);
+  /// predict(), one cache-lookup sample) without touching the submit
+  /// queue or workers — an event-loop thread can answer a hit inline
+  /// instead of paying two thread handoffs. Any miss, unknown model,
+  /// invalid graph, or disabled cache leaves `hit` empty with no side
+  /// effects; the caller falls through to try_submit, passing the probe's
+  /// key along, and the submitted predict owns both the miss accounting
+  /// and the error report.
+  CacheProbe try_cache_predict(const std::string& model_name, const Graph& g);
+  CacheProbe try_cache_predict(const Graph& g);
 
   /// Observer invoked with every queue-wait sample (microseconds) that
   /// is recorded into the queue-wait histogram — the hook SLO-aware load
@@ -194,10 +214,11 @@ class ServeHandle {
   /// hits, coalesced misses, bulk predict_many, the async submit workers,
   /// and the inline cache fast path) — the hook the hard-example miner
   /// (src/mine) uses to watch live traffic without sitting in the request
-  /// path's return type. Runs on the completing request's thread after the
-  /// latency stamp; it must be cheap and must not throw. Same discipline
-  /// as set_queue_wait_tap: set before serving, not thread-safe against
-  /// in-flight requests, nullptr clears.
+  /// path's return type. The Prediction always carries its key. Runs on
+  /// the completing request's thread after the latency stamp; it must be
+  /// cheap and must not throw. Same discipline as set_queue_wait_tap: set
+  /// before serving, not thread-safe against in-flight requests, nullptr
+  /// clears.
   void set_prediction_tap(
       std::function<void(const Graph&, const Prediction&)> tap);
 
@@ -212,6 +233,26 @@ class ServeHandle {
   ModelRegistry& registry() { return registry_; }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  /// The graph's key when the cache or the prediction tap needs one: the
+  /// carried key if the request has one, else canonical_hash(g) — the
+  /// only place a key is minted.
+  std::optional<GraphKey> key_for(const Graph& g,
+                                  std::optional<GraphKey> carried) const;
+  /// predict(), with the key a caller already computed and the time the
+  /// request was admitted (for a submitted request, the queue push).
+  Prediction predict_keyed(const std::string& model_name, const Graph& g,
+                           std::optional<GraphKey> key,
+                           std::optional<Clock::time_point> admitted);
+  /// Answer `out` from a cache entry: values, generation and the cached
+  /// verify score (scored and stored now if the entry has none yet).
+  void answer_from_cache(Prediction& out, CachedPrediction cached,
+                         const CacheKey& key, const Graph& g);
+  /// Stamp latency since `start`, count the request, and run the tap.
+  void complete(Prediction& out, const Graph& g, Clock::time_point start);
+  void note_first_request(Clock::time_point start);
+
   /// The per-model batcher, created on first use.
   MicroBatcher& batcher_for(const std::string& model_name);
   /// Coalesced forward pass for one drained batch (leader thread).
@@ -226,8 +267,9 @@ class ServeHandle {
   struct SubmitJob {
     std::string model;
     Graph graph;
+    std::optional<GraphKey> key;
     SubmitCallback done;
-    std::chrono::steady_clock::time_point enqueue_time;
+    Clock::time_point enqueue_time;
   };
   void submit_worker_main();
   void start_submit_workers_locked() QGNN_REQUIRES(submit_mutex_);

@@ -20,8 +20,8 @@ NdjsonTcpService::NdjsonTcpService(ServeHandle& handle,
                             " bytes (dropped " + std::to_string(dropped) +
                             "); line skipped");
   });
-  // Every queue-wait sample the handle records (submit-pool wait and
-  // batcher wait alike) also feeds the shedding controller's window.
+  // Every queue-wait sample the handle records (one per request, from
+  // admission to batch start) also feeds the shedding controller's window.
   handle_.set_queue_wait_tap(
       [this](double us) { slo_.record_queue_wait(us); });
 }
@@ -111,10 +111,12 @@ void NdjsonTcpService::on_line(std::uint64_t conn_id, std::string&& line) {
     // Cache hits are answered inline on the loop thread: no submit-queue
     // handoff (two thread wakeups saved per request) and no admission
     // check — a hit never touches the contended resource the SLO
-    // protects, so shedding it would only throw away free work.
-    if (auto hit = handle_.try_cache_predict(model, req.graph)) {
+    // protects, so shedding it would only throw away free work. A miss
+    // keeps the probe's key, so the graph is hashed once per request.
+    CacheProbe probe = handle_.try_cache_predict(model, req.graph);
+    if (probe.hit) {
       slo_.note_admitted();
-      server_->post(conn_id, format_response(req_id, *hit));
+      server_->post(conn_id, format_response(req_id, *probe.hit));
       return;
     }
 
@@ -145,7 +147,8 @@ void NdjsonTcpService::on_line(std::uint64_t conn_id, std::string&& line) {
             return;
           }
           server_->post(conn_id, format_response(req_id, p));
-        });
+        },
+        probe.key);
     if (!queued) {
       // Submit queue full: the hard backstop sheds even when the SLO
       // controller has not (yet) tripped.

@@ -365,37 +365,51 @@ TEST(TrainerCheckpoint, MismatchedRunRejected) {
 
 // ---- mining buffer ------------------------------------------------------
 
-serve::Prediction fake_prediction(double ar, bool verified,
-                                  bool cache_hit = false) {
-  serve::Prediction p;
-  p.values = Matrix(1, 2);
-  p.values(0, 0) = 0.4;
-  p.values(0, 1) = 0.2;
-  p.approximation_ratio = ar;
-  p.ar_verified = verified;
-  p.cache_hit = cache_hit;
-  return p;
-}
+/// Predictions as the prediction tap delivers them. Each graph is served
+/// once through a real handle, so the Prediction carries the key the
+/// handle minted for it (keys cannot be made any other way); the test then
+/// sets the angle row, AR and hit flag it wants the buffer to judge.
+class FakePredictions {
+ public:
+  FakePredictions() { handle_.register_model("default", make_model(1)); }
+
+  serve::Prediction operator()(const Graph& g, double ar, bool verified,
+                               bool cache_hit = false) {
+    serve::Prediction p = handle_.predict(g);
+    p.values = Matrix(1, 2);
+    p.values(0, 0) = 0.4;
+    p.values(0, 1) = 0.2;
+    p.approximation_ratio = ar;
+    p.ar_verified = verified;
+    p.cache_hit = cache_hit;
+    return p;
+  }
+
+ private:
+  serve::ServeHandle handle_;
+};
 
 TEST(MiningBuffer, MinesLowArDedupsAndBoundsTheRing) {
   mine::MiningConfig config;
   config.ar_threshold = 0.9;
   config.capacity = 3;
   mine::MiningBuffer buffer(config);
+  FakePredictions fake_prediction;
 
   const std::vector<Graph> graphs = distinct_structure_graphs(5, 5);
 
-  buffer.observe(graphs[0], fake_prediction(0.95, true));  // good AR: skip
-  buffer.observe(graphs[0], fake_prediction(0.5, false));  // unverified
+  const Graph& g0 = graphs[0];
+  buffer.observe(g0, fake_prediction(g0, 0.95, true));  // good AR: skip
+  buffer.observe(g0, fake_prediction(g0, 0.5, false));  // unverified
   EXPECT_EQ(buffer.size(), 0u);
 
-  buffer.observe(graphs[0], fake_prediction(0.5, true));  // mined
-  buffer.observe(graphs[0], fake_prediction(0.4, true));  // dup: deduped
+  buffer.observe(g0, fake_prediction(g0, 0.5, true));  // mined
+  buffer.observe(g0, fake_prediction(g0, 0.4, true));  // dup: deduped
   EXPECT_EQ(buffer.size(), 1u);
 
   for (int i = 1; i < 5; ++i) {
-    buffer.observe(graphs[static_cast<std::size_t>(i)],
-                   fake_prediction(0.5, true));
+    const Graph& g = graphs[static_cast<std::size_t>(i)];
+    buffer.observe(g, fake_prediction(g, 0.5, true));
   }
   EXPECT_EQ(buffer.size(), 3u) << "ring must stay bounded";
 
@@ -418,20 +432,71 @@ TEST(MiningBuffer, NoveltyMinesFirstSightingOnly) {
   mine::MiningConfig config;
   config.mine_novel = true;
   mine::MiningBuffer buffer(config);
+  FakePredictions fake_prediction;
 
   Rng rng(6);
   const Graph a = random_regular_graph(6, 3, rng);
   const Graph b = random_regular_graph(8, 3, rng);
 
-  buffer.observe(a, fake_prediction(0.99, true));  // novel: mined
-  buffer.observe(b, fake_prediction(0.99, true));  // novel: mined
+  buffer.observe(a, fake_prediction(a, 0.99, true));  // novel: mined
+  buffer.observe(b, fake_prediction(b, 0.99, true));  // novel: mined
   EXPECT_EQ(buffer.size(), 2u);
 
   const auto drained = buffer.drain();
   EXPECT_EQ(drained.size(), 2u);
-  buffer.observe(a, fake_prediction(0.2, true));  // seen before: not novel
+  buffer.observe(a, fake_prediction(a, 0.2, true));  // seen before: not novel
   EXPECT_EQ(buffer.size(), 0u);
   EXPECT_EQ(buffer.counters().mined_novel, 2u);
+}
+
+TEST(MiningBuffer, CarriedKeyKeepsNoveltyAndDedupByCanonicalHash) {
+  // The buffer judges novelty and dedup by the key the serving path
+  // carried instead of hashing. With the cache off every request is a
+  // miss, so every request is a novelty candidate and its key is minted
+  // for the tap alone; verify_ar plus a threshold of 1 makes every request
+  // a low-AR candidate too. Relabelled copies must then behave exactly as
+  // canonical_hash dictates: not novel, and deduped while pending.
+  serve::ServeConfig serve_config;
+  serve_config.cache_capacity = 0;
+  serve_config.verify_ar = true;
+  serve::ServeHandle handle(serve_config);
+  handle.register_model("default", make_model(3));
+
+  mine::MiningConfig novelty_config;
+  novelty_config.mine_novel = true;
+  mine::MiningBuffer novelty(novelty_config);
+  mine::MiningConfig low_ar_config;
+  low_ar_config.ar_threshold = 1.0;
+  mine::MiningBuffer low_ar(low_ar_config);
+  handle.set_prediction_tap(
+      [&](const Graph& g, const serve::Prediction& p) {
+        novelty.observe(g, p);
+        low_ar.observe(g, p);
+      });
+
+  const std::vector<Graph> graphs = distinct_structure_graphs(8, 4);
+  Rng rng(10);
+  for (const Graph& g : graphs) handle.predict(g);
+  for (const Graph& g : graphs) {
+    std::vector<int> perm(static_cast<std::size_t>(g.num_nodes()));
+    for (std::size_t i = 0; i < perm.size(); ++i) {
+      perm[i] = static_cast<int>(i);
+    }
+    rng.shuffle(perm);
+    handle.predict(g.permuted(perm));
+  }
+
+  EXPECT_EQ(novelty.counters().mined_novel, graphs.size());
+  EXPECT_EQ(novelty.counters().deduped, 0u);
+  EXPECT_EQ(low_ar.counters().mined_low_ar, graphs.size());
+  EXPECT_EQ(low_ar.counters().deduped, graphs.size());
+  for (mine::MiningBuffer* buffer : {&novelty, &low_ar}) {
+    const std::vector<mine::MinedSample> drained = buffer->drain();
+    ASSERT_EQ(drained.size(), graphs.size());
+    for (std::size_t i = 0; i < drained.size(); ++i) {
+      EXPECT_EQ(drained[i].canonical, canonical_hash(graphs[i]));
+    }
+  }
 }
 
 // ---- relabel job --------------------------------------------------------

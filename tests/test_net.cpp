@@ -27,6 +27,7 @@
 #include "graph/graph.hpp"
 #include "net/framing.hpp"
 #include "net/socket.hpp"
+#include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
@@ -343,6 +344,75 @@ TEST(TcpService, InlineCacheHitIsBitIdenticalAndCounted) {
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_TRUE(service.graceful_shutdown());
   handle.drain_submits();
+}
+
+/// NDJSON request line for an unweighted graph.
+std::string graph_request(int id, const Graph& g) {
+  std::string edges;
+  for (const Edge& e : g.edges()) {
+    if (!edges.empty()) edges += ",";
+    edges += "[" + std::to_string(e.u) + "," + std::to_string(e.v) + "]";
+  }
+  return "{\"id\":" + std::to_string(id) + ",\"nodes\":" +
+         std::to_string(g.num_nodes()) + ",\"edges\":[" + edges + "]}";
+}
+
+TEST(TcpService, CarriedKeyReachesTapAndStagesSampleOncePerRequest) {
+  struct ObsOn {
+    bool saved = obs::enabled();
+    ObsOn() { obs::set_enabled(true); }
+    ~ObsOn() { obs::set_enabled(saved); }
+  } obs_on;
+  serve::ServeHandle handle;
+  register_demo(handle);
+  std::mutex mutex;
+  int tapped = 0;
+  int wrong_keys = 0;
+  handle.set_prediction_tap(
+      [&](const Graph& g, const serve::Prediction& p) {
+        std::lock_guard<std::mutex> lk(mutex);
+        ++tapped;
+        if (!p.key || p.key->value() != canonical_hash(g)) ++wrong_keys;
+      });
+  serve::NdjsonTcpService service(handle, {});
+  service.start();
+  TcpClient client(service.port());
+
+  // N misses through the submit queue and batcher, then M = N inline
+  // hits: relabelled copies of the same graphs share their cache entries.
+  const int kMisses = 5;
+  Rng rng(12);
+  for (int i = 0; i < kMisses; ++i) {
+    client.send(graph_request(i, cycle_graph(5 + i)));
+    const JsonValue resp = serve::parse_json(client.recv_line());
+    ASSERT_TRUE(resp.find("ok")->boolean);
+    EXPECT_FALSE(resp.find("cached")->boolean);
+  }
+  for (int i = 0; i < kMisses; ++i) {
+    const Graph g = cycle_graph(5 + i);
+    std::vector<int> perm(static_cast<std::size_t>(g.num_nodes()));
+    for (std::size_t k = 0; k < perm.size(); ++k) {
+      perm[k] = static_cast<int>(k);
+    }
+    rng.shuffle(perm);
+    client.send(graph_request(100 + i, g.permuted(perm)));
+    const JsonValue resp = serve::parse_json(client.recv_line());
+    ASSERT_TRUE(resp.find("ok")->boolean);
+    EXPECT_TRUE(resp.find("cached")->boolean) << "relabelled copy " << i;
+  }
+  EXPECT_TRUE(service.graceful_shutdown());
+  handle.drain_submits();
+
+  const serve::ServeStats stats = handle.stats();
+  EXPECT_EQ(stats.cache_misses, static_cast<std::uint64_t>(kMisses));
+  EXPECT_EQ(stats.cache_hits, static_cast<std::uint64_t>(kMisses));
+  // One queue-wait sample per miss (submit push to batch start) and one
+  // cache-lookup sample per request, hit or miss.
+  EXPECT_EQ(stats.queue_wait_us.count, static_cast<std::uint64_t>(kMisses));
+  EXPECT_EQ(stats.cache_lookup_us.count,
+            static_cast<std::uint64_t>(2 * kMisses));
+  EXPECT_EQ(tapped, 2 * kMisses);
+  EXPECT_EQ(wrong_keys, 0);
 }
 
 // ---------------------------------------------------------------------------

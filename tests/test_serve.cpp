@@ -15,6 +15,7 @@
 
 #include "gnn/layers.hpp"
 #include "gnn/model.hpp"
+#include "graph/canonical.hpp"
 #include "graph/generators.hpp"
 #include "quantum/statevector.hpp"
 #include "serve/model_registry.hpp"
@@ -671,6 +672,97 @@ TEST(Serve, VerifyArPopulatesStageHistogramOnlyWhenObsEnabled) {
   off.predict(g);
   EXPECT_EQ(off.stats().verify_us.count, 0u);
   EXPECT_EQ(off.stats().ar_verifications, 1u);  // counted regardless
+}
+
+// ---- the carried graph key ----------------------------------------------
+
+/// Prediction-tap recorder: every tapped request's key must be present and
+/// equal to canonical_hash of the graph the tap sees.
+struct KeyTap {
+  std::mutex mutex;
+  int seen = 0;
+  int wrong = 0;
+
+  void attach(ServeHandle& serve) {
+    serve.set_prediction_tap([this](const Graph& g, const Prediction& p) {
+      std::lock_guard<std::mutex> lk(mutex);
+      ++seen;
+      if (!p.key || p.key->value() != canonical_hash(g)) ++wrong;
+    });
+  }
+};
+
+TEST(Serve, PredictionTapSeesTheCanonicalKeyOnEveryPath) {
+  ServeConfig config;
+  config.max_batch = 4;
+  config.max_queue_delay = std::chrono::microseconds(0);
+  config.verify_ar = true;
+  ServeHandle serve(config);
+  serve.register_model("default", make_model(GnnArch::kGCN, 31));
+  KeyTap tap;
+  tap.attach(serve);
+
+  // Cycles of distinct sizes: pairwise non-isomorphic, so every first
+  // request is a miss.
+  std::vector<Graph> graphs;
+  for (int n = 4; n < 12; ++n) graphs.push_back(cycle_graph(n));
+  // predict_many: misses, then hits.
+  serve.predict_many({graphs.begin(), graphs.begin() + 4});
+  serve.predict_many({graphs.begin(), graphs.begin() + 4});
+  // predict: a miss through the batcher, then a hit.
+  serve.predict(graphs[4]);
+  const Prediction hit = serve.predict(graphs[4]);
+  EXPECT_TRUE(hit.cache_hit);
+  // try_submit with no prior probe: the submit worker computes the key.
+  for (std::size_t i = 5; i < graphs.size(); ++i) {
+    ASSERT_TRUE(serve.try_submit(graphs[i], [](Prediction p,
+                                               std::exception_ptr error) {
+      EXPECT_EQ(error, nullptr);
+      EXPECT_FALSE(p.cache_hit);
+    }));
+  }
+  serve.drain_submits();
+  // The inline hit path, on a relabelled copy: same key, same entry.
+  Rng rng(92);
+  std::vector<int> perm(static_cast<std::size_t>(graphs[6].num_nodes()));
+  for (std::size_t i = 0; i < perm.size(); ++i) {
+    perm[i] = static_cast<int>(i);
+  }
+  rng.shuffle(perm);
+  const serve::CacheProbe probe =
+      serve.try_cache_predict(graphs[6].permuted(perm));
+  ASSERT_TRUE(probe.hit.has_value());
+  EXPECT_EQ(probe.key, probe.hit->key);
+  EXPECT_EQ(probe.key->value(), canonical_hash(graphs[6]));
+
+  EXPECT_EQ(tap.seen, 4 + 4 + 2 + 3 + 1);
+  EXPECT_EQ(tap.wrong, 0);
+  // Each distinct graph was verified once: the carried key found the
+  // cached score on every later hit.
+  EXPECT_EQ(serve.stats().ar_verifications, graphs.size());
+}
+
+TEST(Serve, KeyComputedOnlyWhenTheCacheOrATapNeedsIt) {
+  ServeConfig config;
+  config.cache_capacity = 0;
+  ServeHandle serve(config);
+  serve.register_model("default", make_model(GnnArch::kGCN, 32));
+  const auto graphs = test_graphs(2, 93);
+
+  EXPECT_FALSE(serve.predict(graphs[0]).key.has_value());
+  EXPECT_FALSE(serve.predict_many(graphs)[1].key.has_value());
+  const serve::CacheProbe probe = serve.try_cache_predict(graphs[0]);
+  EXPECT_FALSE(probe.hit.has_value());
+  EXPECT_FALSE(probe.key.has_value());
+
+  // With the cache off, a tap alone still gets its key.
+  KeyTap tap;
+  tap.attach(serve);
+  const Prediction p = serve.predict(graphs[1]);
+  ASSERT_TRUE(p.key.has_value());
+  EXPECT_EQ(p.key->value(), canonical_hash(graphs[1]));
+  EXPECT_EQ(tap.seen, 1);
+  EXPECT_EQ(tap.wrong, 0);
 }
 
 }  // namespace
