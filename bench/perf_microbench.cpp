@@ -18,7 +18,6 @@
 
 #include "bench_main.hpp"
 #include "dataset/dataset.hpp"
-#include "dataset/factory.hpp"
 #include "gnn/model.hpp"
 #include "graph/canonical.hpp"
 #include "graph/generators.hpp"
@@ -475,12 +474,9 @@ BENCHMARK(BM_DatasetLabellingThreads)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-// ---- batched dataset factory -------------------------------------------
-// The dataset factory's lane-batched evaluator vs the per-item sequential
-// labeller at fixed instance size, both pinned to one thread so the ratio
-// isolates the structure-of-arrays batching (SIMD across lanes, shared
-// level-index walks) rather than thread fan-out. Acceptance criterion:
-// batched >= 2x labelled graphs/second at every n <= 14. Outputs feed
+// ---- dataset labelling at fixed size -----------------------------------
+// The per-item labeller pinned to one thread at fixed instance size, so
+// the per-graph cost at each n reads without thread fan-out. Outputs feed
 // BENCH_qaoa.json.
 
 DatasetGenConfig fixed_size_labelling_config(int n) {
@@ -506,22 +502,6 @@ void BM_DatasetLabellingSequential(benchmark::State& state) {
   ThreadPool::set_global_threads(ThreadPool::configured_threads());
 }
 BENCHMARK(BM_DatasetLabellingSequential)
-    ->Arg(8)->Arg(10)->Arg(12)->Arg(14)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DatasetLabellingBatched(benchmark::State& state) {
-  ThreadPool::set_global_threads(1);
-  const DatasetGenConfig config =
-      fixed_size_labelling_config(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generate_dataset_batched(config).size());
-  }
-  state.counters["qubits"] = static_cast<double>(state.range(0));
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          config.num_instances);
-  ThreadPool::set_global_threads(ThreadPool::configured_threads());
-}
-BENCHMARK(BM_DatasetLabellingBatched)
     ->Arg(8)->Arg(10)->Arg(12)->Arg(14)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -1,6 +1,7 @@
-// Dataset factory CLI: generate QAOA training labels with the batched
-// labelling engine and write them as one packed binary file
-// (dataset/packed.hpp), with optional checkpoint/resume for long runs.
+// Dataset factory CLI: label QAOA training graphs (one Nelder-Mead or Adam
+// optimization per graph, on the global thread pool) and write them as one
+// packed binary file (dataset/packed.hpp), with optional checkpoint/resume
+// for long runs.
 //
 // Generate:   qgnn_dataset --out data.qds --count 600 --seed 42
 // Resumable:  qgnn_dataset --out data.qds --checkpoint-dir ckpt \
@@ -8,7 +9,7 @@
 // Inspect:    qgnn_dataset --inspect data.qds
 //
 // Output bytes depend only on the generation flags (count/nodes/degree/
-// depth/evals/optimizer/symmetrize/seed) — never on --threads, --lanes,
+// depth/evals/optimizer/symmetrize/seed) — never on --threads,
 // --checkpoint-every, or whether the run was interrupted and resumed.
 //
 // Exit codes: 0 success, 1 usage/config error, 2 I/O or data error,
@@ -33,6 +34,8 @@ void print_usage(const char* prog) {
   std::cout
       << "usage: " << prog << " --out FILE [options]\n"
       << "       " << prog << " --inspect FILE\n\n"
+      << "Labels each graph with its own optimization from a random start\n"
+      << "(seeded per graph), spread over the worker threads.\n\n"
       << "generation:\n"
       << "  --count N            instances to label (default 600)\n"
       << "  --min-nodes N        smallest graph (default 2)\n"
@@ -44,7 +47,6 @@ void print_usage(const char* prog) {
       << "  --seed S             master seed (default 42)\n\n"
       << "scheduling (never changes the output bytes):\n"
       << "  --threads N          worker threads (default: hardware)\n"
-      << "  --lanes K            statevector lanes per batch (default auto)\n"
       << "  --checkpoint-dir D   directory for shards + resume manifest\n"
       << "  --checkpoint-every N records per committed shard (default 50\n"
       << "                       when --checkpoint-dir is set)\n"
@@ -143,7 +145,6 @@ int main(int argc, char** argv) {
     }
 
     FactoryConfig factory;
-    factory.lanes = args.get_int("lanes", 0);
     factory.checkpoint_dir = args.get("checkpoint-dir", "");
     factory.checkpoint_every = args.get_int(
         "checkpoint-every", factory.checkpoint_dir.empty() ? 0 : 50);

@@ -45,7 +45,11 @@ struct DatasetGenConfig {
 /// Progress hook: (instances_done, instances_total).
 using ProgressFn = std::function<void(int, int)>;
 
-/// Generate the labelled dataset. Deterministic for a fixed config.
+/// Generate the labelled dataset: draw the generate_graphs sequence, then
+/// label every graph with label_dataset_entry (dataset/factory.hpp) on the
+/// global thread pool. Deterministic for a fixed config and bit-identical
+/// at any thread count. Defined in factory.cpp, whose run_dataset_factory
+/// shares the same labelling loop.
 std::vector<DatasetEntry> generate_dataset(const DatasetGenConfig& config,
                                            const ProgressFn& progress = {});
 

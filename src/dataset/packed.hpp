@@ -13,7 +13,7 @@
 namespace qgnn {
 
 /// Packed binary dataset container (DESIGN.md §10): the storage format the
-/// batched factory emits and the trainer/serve loaders consume. One file
+/// dataset factory emits and the trainer/serve loaders consume. One file
 /// holds the whole dataset — a fixed header, an index section (one
 /// offset/length pair per record), and a records section — so paper-scale
 /// datasets load with two CRC sweeps and zero per-graph file opens, and

@@ -30,6 +30,23 @@ std::uint32_t from_epoll(std::uint32_t events) {
   return out;
 }
 
+/// The loop whose event handlers this thread is running, if any.
+thread_local const EpollLoop* t_dispatching = nullptr;
+
+/// Marks the handler-dispatch phase of one poll_once round.
+class DispatchScope {
+ public:
+  explicit DispatchScope(const EpollLoop* loop) : prev_(t_dispatching) {
+    t_dispatching = loop;
+  }
+  ~DispatchScope() { t_dispatching = prev_; }
+  DispatchScope(const DispatchScope&) = delete;
+  DispatchScope& operator=(const DispatchScope&) = delete;
+
+ private:
+  const EpollLoop* prev_;
+};
+
 }  // namespace
 
 EpollLoop::EpollLoop() : epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)) {
@@ -98,13 +115,16 @@ bool EpollLoop::poll_once(std::chrono::milliseconds timeout) {
     else throw IoError(std::string("epoll_wait: ") + std::strerror(errno));
   }
 
-  for (int i = 0; i < n; ++i) {
-    const int fd = events[static_cast<std::size_t>(i)].data.fd;
-    const auto it = handlers_.find(fd);
-    if (it == handlers_.end()) continue;  // removed by an earlier callback
-    // Copy the handler: the callback may remove (and invalidate) itself.
-    const EventFn handler = it->second;
-    handler(from_epoll(events[static_cast<std::size_t>(i)].events));
+  {
+    const DispatchScope dispatching(this);
+    for (int i = 0; i < n; ++i) {
+      const int fd = events[static_cast<std::size_t>(i)].data.fd;
+      const auto it = handlers_.find(fd);
+      if (it == handlers_.end()) continue;  // removed by an earlier callback
+      // Copy the handler: the callback may remove (and invalidate) itself.
+      const EventFn handler = it->second;
+      handler(from_epoll(events[static_cast<std::size_t>(i)].events));
+    }
   }
 
   if (post_dispatch_) post_dispatch_();
@@ -120,6 +140,9 @@ bool EpollLoop::poll_once(std::chrono::milliseconds timeout) {
 }
 
 void EpollLoop::wake() {
+  // A handler's wake needs no pipe byte: post_dispatch_ runs after the
+  // handlers in the same poll_once.
+  if (t_dispatching == this) return;
   const char byte = 1;
   // A full pipe means a wake is already pending.
   (void)write_some(wake_write_, &byte, 1);

@@ -58,7 +58,10 @@ class EpollLoop {
   /// stop was requested. Exposed for tests.
   bool poll_once(std::chrono::milliseconds timeout) QGNN_EVENT_LOOP_ONLY;
 
-  /// Wake the loop if it is blocked in epoll_wait (any thread).
+  /// Wake the loop if it is blocked in epoll_wait (any thread). From one
+  /// of this loop's own event handlers it is a no-op: the post-dispatch
+  /// hook runs later in the same round anyway. Calls from the tick or
+  /// post-dispatch hooks still wake the next round.
   void wake();
   /// Make run() return after the current dispatch round (any thread).
   void request_stop();

@@ -144,9 +144,10 @@ class TcpServer {
   std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> conns_;
 
   // Cross-thread response queue, moved onto connections by the loop.
-  // Critical sections under outbox_mutex_ are a vector append or swap
-  // plus a wakeup-pipe write — short enough that post() from the loop
-  // thread itself (cache hits answered inline) cannot stall the loop.
+  // Critical sections under outbox_mutex_ are a vector append or swap —
+  // short enough that post() from the loop thread itself (cache hits
+  // answered inline) cannot stall the loop. Such a post writes no wake
+  // byte either: drain_outbox runs later in the same loop round.
   mutable std::mutex outbox_mutex_;
   std::vector<std::pair<std::uint64_t, std::string>> outbox_
       QGNN_GUARDED_BY(outbox_mutex_);

@@ -47,8 +47,9 @@ inline constexpr const char* kQaoaOptimizations = "qaoa.optimizations";
 inline constexpr const char* kQaoaPhaseTableUs = "qaoa.phase_table_us";
 inline constexpr const char* kQaoaGradPasses = "qaoa.grad_passes";
 
-// Batched dataset factory (src/dataset/factory.cpp).
+// Dataset labelling and factory (src/dataset/factory.cpp).
 inline constexpr const char* kDatasetGraphsLabeled = "dataset.graphs_labeled";
+// Nothing records this any more; it stays because perfbench reads it.
 inline constexpr const char* kDatasetBatchFill = "dataset.batch_fill";
 inline constexpr const char* kDatasetLabelWaveUs = "dataset.label_wave_us";
 inline constexpr const char* kDatasetShardCommitUs = "dataset.shard_commit_us";

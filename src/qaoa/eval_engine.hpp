@@ -84,15 +84,6 @@ class QaoaEvalEngine {
   /// the small-integer fast path this is max(diag)+1, a superset of the
   /// distinct values; for the sorted path it is the exact distinct count.
   std::size_t num_levels() const { return levels_.size(); }
-  /// The distinct diagonal values the phase table quantizes onto (empty
-  /// when the table is inactive). The batched dataset factory builds its
-  /// per-lane tables from these, with the same -gamma*level expression as
-  /// build_phase_table, so lane results match this engine bit-for-bit.
-  std::span<const double> levels() const { return levels_; }
-  /// Per-state level index into levels() (empty when the table is
-  /// inactive); the factory interleaves K engines' indices into its
-  /// structure-of-arrays layout.
-  std::span<const std::uint16_t> level_index() const { return level_of_; }
 
   /// Apply e^{-i gamma D} to `state` (phase table when active, generic
   /// sincos otherwise). `table_scratch` holds the per-gamma table.

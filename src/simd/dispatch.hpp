@@ -4,7 +4,7 @@
 // (DESIGN.md §13). One table of per-ISA function pointers (see
 // kernels.hpp) is resolved once per process from CPU features, so there
 // is exactly one CPUID/dispatch implementation in the repo; every hot
-// loop — statevector, QAOA eval engine, dataset batch workspace, GNN
+// loop — statevector, QAOA eval engine (and so dataset labelling), GNN
 // inference — selects through it.
 //
 // The selection can be forced two ways, both clamped to what the CPU

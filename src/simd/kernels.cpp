@@ -11,11 +11,6 @@ namespace qgnn::simd {
 // x86-64 and non-x86 hosts.
 namespace detail {
 #if defined(QGNN_SIMD_AVX2)
-void cost_layer_split_avx2(double* re, double* im, const std::uint16_t* lev,
-                           const double* tab_re, const double* tab_im,
-                           std::uint64_t dim);
-void mixer_layer_split_avx2(double* re, double* im, int n, double c,
-                            double s);
 void phase_table_avx2(double* amps, const std::uint16_t* lev,
                       const double* table, std::uint64_t lo,
                       std::uint64_t hi);
@@ -34,11 +29,6 @@ void matmul_avx2_fma(double* out, const double* a, const double* b,
                      std::size_t m, std::size_t k, std::size_t n);
 #endif
 #if defined(QGNN_SIMD_AVX512)
-void cost_layer_split_avx512(double* re, double* im,
-                             const std::uint16_t* lev, const double* tab_re,
-                             const double* tab_im, std::uint64_t dim);
-void mixer_layer_split_avx512(double* re, double* im, int n, double c,
-                              double s);
 void phase_table_avx512(double* amps, const std::uint16_t* lev,
                         const double* table, std::uint64_t lo,
                         std::uint64_t hi);
@@ -61,19 +51,6 @@ void matmul_avx512_fma(double* out, const double* a, const double* b,
 }  // namespace detail
 
 namespace {
-
-void cost_layer_split_generic(double* re, double* im,
-                              const std::uint16_t* lev, const double* tab_re,
-                              const double* tab_im, std::uint64_t dim) {
-  impl::cost_run_scalar(re, im, lev, tab_re, tab_im, 0, dim);
-}
-
-void mixer_layer_split_generic(double* re, double* im, int n, double c,
-                               double s) {
-  impl::mixer_sweep(n, [&](std::uint64_t start, std::uint64_t bit) {
-    impl::mixer_run_scalar(re, im, start, bit, c, s);
-  });
-}
 
 void phase_table_generic(double* amps, const std::uint16_t* lev,
                          const double* table, std::uint64_t lo,
@@ -118,8 +95,6 @@ void matmul_generic(double* out, const double* a, const double* b,
 /// as the fast tier: with no wide registers there is no FMA variant to
 /// select, so the flag is a no-op below AVX2.
 struct KernelTable {
-  CostLayerSplitFn cost_layer_split = &cost_layer_split_generic;
-  MixerLayerSplitFn mixer_layer_split = &mixer_layer_split_generic;
   PhaseTableFn phase_table = &phase_table_generic;
   RxBlockFn rx_block = &rx_block_generic;
   RxPairsFn rx_pairs = &rx_pairs_generic;
@@ -145,8 +120,6 @@ Tables build_tables() {
   Tables t;
 #if defined(QGNN_SIMD_AVX2)
   if (__builtin_cpu_supports("avx2")) {
-    t.avx2.cost_layer_split = &detail::cost_layer_split_avx2;
-    t.avx2.mixer_layer_split = &detail::mixer_layer_split_avx2;
     t.avx2.phase_table = &detail::phase_table_avx2;
     t.avx2.rx_block = &detail::rx_block_avx2;
     t.avx2.rx_pairs = &detail::rx_pairs_avx2;
@@ -167,8 +140,6 @@ Tables build_tables() {
 #endif
 #if defined(QGNN_SIMD_AVX512)
   if (__builtin_cpu_supports("avx512f")) {
-    t.avx512.cost_layer_split = &detail::cost_layer_split_avx512;
-    t.avx512.mixer_layer_split = &detail::mixer_layer_split_avx512;
     t.avx512.phase_table = &detail::phase_table_avx512;
     t.avx512.rx_block = &detail::rx_block_avx512;
     t.avx512.rx_pairs = &detail::rx_pairs_avx512;
@@ -199,12 +170,6 @@ const KernelTable& active_table() {
 }
 
 }  // namespace
-
-CostLayerSplitFn cost_layer_split() { return active_table().cost_layer_split; }
-
-MixerLayerSplitFn mixer_layer_split() {
-  return active_table().mixer_layer_split;
-}
 
 PhaseTableFn phase_table() { return active_table().phase_table; }
 

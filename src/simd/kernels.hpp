@@ -6,9 +6,9 @@
 #include "simd/dispatch.hpp"
 
 // The repo-wide SIMD kernel table (DESIGN.md §13). Every function here
-// is a hot inner loop shared by the statevector, the QAOA eval engine,
-// the dataset batch workspace, or the GNN inference path; the accessors
-// resolve against dispatch.hpp's active ISA.
+// is a hot inner loop shared by the statevector, the QAOA eval engine
+// (and through it every dataset label), or the GNN inference path; the
+// accessors resolve against dispatch.hpp's active ISA.
 //
 // Equivalence tiers:
 //   bit-identical — elementwise and pair-elementwise kernels. Every
@@ -28,42 +28,25 @@
 
 namespace qgnn::simd {
 
-// --- Split-layout QAOA lane kernels (dataset batch workspace) --------
-// The workspace stores each lane as two contiguous double arrays
-// (re[dim], im[dim]) so the update expressions vectorize at any
-// register width without shuffles.
-
-/// Multiply amplitude k by the unit phase table[lev[k]]:
-///   re' = re * tr - im * ti,  im' = re * ti + im * tr.
-/// Tier: bit-identical.
-using CostLayerSplitFn = void (*)(double* re, double* im,
-                                  const std::uint16_t* lev,
-                                  const double* tab_re, const double* tab_im,
-                                  std::uint64_t dim);
-
-/// Apply one RX mixer layer (all n qubits, rotation cosine c / sine s)
-/// to the 2^n-amplitude lane, cache-blocked. Per pair (lo, hi):
-///   lo_re' = c*lo_re + s*hi_im,  lo_im' = c*lo_im - s*hi_re,
-///   hi_re' = c*hi_re + s*lo_im,  hi_im' = c*hi_im - s*lo_re.
-/// Tier: bit-identical.
-using MixerLayerSplitFn = void (*)(double* re, double* im, int n, double c,
-                                   double s);
-
 // --- Interleaved statevector kernels (std::complex layout) -----------
 // `amps` points at the re/im-interleaved doubles of a
 // std::complex<double> array: amplitude k occupies amps[2k], amps[2k+1].
 // `table` is likewise an interleaved complex phase table.
 
-/// Multiply amplitude k by table[lev[k]] for k in [lo, hi) — the
-/// QaoaEvalEngine cost-layer apply. Same expressions as the split cost
-/// layer. Tier: bit-identical.
+/// Multiply amplitude k by the unit phase table[lev[k]] for k in
+/// [lo, hi) — the QaoaEvalEngine cost-layer apply:
+///   re' = re * tr - im * ti,  im' = re * ti + im * tr.
+/// Tier: bit-identical.
 using PhaseTableFn = void (*)(double* amps, const std::uint16_t* lev,
                               const double* table, std::uint64_t lo,
                               std::uint64_t hi);
 
 /// Apply RX qubits 0..nq-1, in ascending order, to one cache-resident
-/// block of 2^nq amplitudes (the caller blocks and parallelizes). Same
-/// pair expressions as the split mixer layer. Tier: bit-identical.
+/// block of 2^nq amplitudes (the caller blocks and parallelizes). Per
+/// pair (lo, hi) with rotation cosine c / sine s:
+///   lo_re' = c*lo_re + s*hi_im,  lo_im' = c*lo_im - s*hi_re,
+///   hi_re' = c*hi_re + s*lo_im,  hi_im' = c*hi_im - s*lo_re.
+/// Tier: bit-identical.
 using RxBlockFn = void (*)(double* amps, int nq, double c, double s);
 
 /// One RX pair run: update the pairs (lo[x], hi[x]) for x in [0, count)
@@ -104,8 +87,6 @@ using MatmulFn = void (*)(double* out, const double* a, const double* b,
 // Resolved against active_isa() (and kernel_config() for the kernels
 // with a fast tier) on every call; hot loops hoist the pointer.
 
-CostLayerSplitFn cost_layer_split();
-MixerLayerSplitFn mixer_layer_split();
 PhaseTableFn phase_table();
 RxBlockFn rx_block();
 RxPairsFn rx_pairs();

@@ -19,84 +19,6 @@ namespace qgnn::simd::detail {
 
 namespace {
 
-// --- split-layout helpers (dataset batch workspace) -----------------
-
-// RX butterflies for qubits 0..2, whose pairs live within one 8-double
-// register, as lane permutes plus the usual mul/add — no scalar
-// fallback passes. For a pair (l, h) the reference updates are
-//   re: l -> c*lr + s*him   h -> c*hr + s*lim
-//   im: l -> c*li - s*hre   h -> c*hm - s*lre
-// i.e. every lane computes c*x + s*partner(y) (re, both signs +) or
-// c*y - s*partner(x) (im, both signs -), so one permuted operand per
-// register covers both halves of the butterfly with the exact scalar
-// rounding sequence. The permutes are the masked forms with a full
-// mask and explicit zero source: same shuffles as the plain forms,
-// which use the undefined-source intrinsic that GCC 12 flags with
-// -Wmaybe-uninitialized.
-inline void butterflies012(__m512d r0, __m512d i0, __m512d vc, __m512d vs,
-                           __m512d* out_r, __m512d* out_i) {
-  const __m512d zero = _mm512_setzero_pd();
-  constexpr __mmask8 all = static_cast<__mmask8>(0xff);
-  // Qubit 0: partner lane differs in bit 0 (swap adjacent lanes).
-  __m512d pr = _mm512_mask_permute_pd(zero, all, r0, 0x55);
-  __m512d pi = _mm512_mask_permute_pd(zero, all, i0, 0x55);
-  const __m512d r1 =
-      _mm512_add_pd(_mm512_mul_pd(vc, r0), _mm512_mul_pd(vs, pi));
-  const __m512d i1 =
-      _mm512_sub_pd(_mm512_mul_pd(vc, i0), _mm512_mul_pd(vs, pr));
-  // Qubit 1: swap lane pairs within each 256-bit half.
-  pr = _mm512_mask_permutex_pd(zero, all, r1, 0x4E);
-  pi = _mm512_mask_permutex_pd(zero, all, i1, 0x4E);
-  const __m512d r2 =
-      _mm512_add_pd(_mm512_mul_pd(vc, r1), _mm512_mul_pd(vs, pi));
-  const __m512d i2 =
-      _mm512_sub_pd(_mm512_mul_pd(vc, i1), _mm512_mul_pd(vs, pr));
-  // Qubit 2: swap the 256-bit halves.
-  pr = _mm512_mask_shuffle_f64x2(zero, all, r2, r2, 0x4E);
-  pi = _mm512_mask_shuffle_f64x2(zero, all, i2, i2, 0x4E);
-  *out_r = _mm512_add_pd(_mm512_mul_pd(vc, r2), _mm512_mul_pd(vs, pi));
-  *out_i = _mm512_sub_pd(_mm512_mul_pd(vc, i2), _mm512_mul_pd(vs, pr));
-}
-
-// Pair run for qubit 3 and up (bit >= 8, a full vector per side).
-inline void split_pair_run(double* re, double* im, std::uint64_t start,
-                           std::uint64_t bit, __m512d vc, __m512d vs) {
-  double* lre = re + start;
-  double* lim = im + start;
-  double* hre = lre + bit;
-  double* him = lim + bit;
-  for (std::uint64_t x = 0; x < bit; x += 8) {
-    const __m512d lr = _mm512_loadu_pd(lre + x);
-    const __m512d li = _mm512_loadu_pd(lim + x);
-    const __m512d hr = _mm512_loadu_pd(hre + x);
-    const __m512d hm = _mm512_loadu_pd(him + x);
-    _mm512_storeu_pd(lre + x, _mm512_add_pd(_mm512_mul_pd(vc, lr),
-                                            _mm512_mul_pd(vs, hm)));
-    _mm512_storeu_pd(lim + x, _mm512_sub_pd(_mm512_mul_pd(vc, li),
-                                            _mm512_mul_pd(vs, hr)));
-    _mm512_storeu_pd(hre + x, _mm512_add_pd(_mm512_mul_pd(vc, hr),
-                                            _mm512_mul_pd(vs, li)));
-    _mm512_storeu_pd(him + x, _mm512_sub_pd(_mm512_mul_pd(vc, hm),
-                                            _mm512_mul_pd(vs, lr)));
-  }
-}
-
-// Gather the phase-table entries for 8 consecutive states. Masked
-// gather with a full mask and explicit zero source: same loads as the
-// plain form, but avoids the undefined-source intrinsic that GCC 12
-// flags with -Wmaybe-uninitialized.
-inline void gather_phases(const std::uint16_t* lev, std::uint64_t k,
-                          const double* tab_re, const double* tab_im,
-                          __m512d* tr, __m512d* ti) {
-  const __m128i lev16 =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(lev + k));
-  const __m256i idx = _mm256_cvtepu16_epi32(lev16);
-  *tr = _mm512_mask_i32gather_pd(_mm512_setzero_pd(),
-                                 static_cast<__mmask8>(0xff), idx, tab_re, 8);
-  *ti = _mm512_mask_i32gather_pd(_mm512_setzero_pd(),
-                                 static_cast<__mmask8>(0xff), idx, tab_im, 8);
-}
-
 // --- interleaved-layout helpers (statevector) -----------------------
 
 // _mm512_xor_pd needs AVX512DQ; the integer-domain XOR is plain
@@ -173,56 +95,6 @@ inline __m512d complex_mul_interleaved(__m512d v, __m512d t, __m512d sign) {
 }
 
 }  // namespace
-
-// --- split-layout kernels -------------------------------------------
-
-void cost_layer_split_avx512(double* re, double* im,
-                             const std::uint16_t* lev, const double* tab_re,
-                             const double* tab_im, std::uint64_t dim) {
-  std::uint64_t k = 0;
-  for (; k + 8 <= dim; k += 8) {
-    __m512d tr;
-    __m512d ti;
-    gather_phases(lev, k, tab_re, tab_im, &tr, &ti);
-    const __m512d r = _mm512_loadu_pd(re + k);
-    const __m512d i = _mm512_loadu_pd(im + k);
-    const __m512d nr =
-        _mm512_sub_pd(_mm512_mul_pd(r, tr), _mm512_mul_pd(i, ti));
-    const __m512d ni =
-        _mm512_add_pd(_mm512_mul_pd(r, ti), _mm512_mul_pd(i, tr));
-    _mm512_storeu_pd(re + k, nr);
-    _mm512_storeu_pd(im + k, ni);
-  }
-  impl::cost_run_scalar(re, im, lev, tab_re, tab_im, k, dim);
-}
-
-void mixer_layer_split_avx512(double* re, double* im, int n, double c,
-                              double s) {
-  const __m512d vc = _mm512_set1_pd(c);
-  const __m512d vs = _mm512_set1_pd(s);
-  if (n < 3) {
-    // Too few qubits for an in-register butterfly over a full vector.
-    impl::mixer_sweep(n, [&](std::uint64_t start, std::uint64_t bit) {
-      impl::mixer_run_scalar(re, im, start, bit, c, s);
-    });
-    return;
-  }
-  impl::mixer_sweep_fused(
-      n, 3,
-      [&](std::uint64_t start, std::uint64_t len) {
-        for (std::uint64_t x = start; x < start + len; x += 8) {
-          __m512d r;
-          __m512d i;
-          butterflies012(_mm512_loadu_pd(re + x), _mm512_loadu_pd(im + x), vc,
-                         vs, &r, &i);
-          _mm512_storeu_pd(re + x, r);
-          _mm512_storeu_pd(im + x, i);
-        }
-      },
-      [&](std::uint64_t start, std::uint64_t bit) {
-        split_pair_run(re, im, start, bit, vc, vs);
-      });
-}
 
 // --- interleaved-layout kernels -------------------------------------
 

@@ -4,121 +4,17 @@
 #include <cstddef>
 #include <cstdint>
 
-// Shared scalar bodies and loop skeletons for the SIMD kernel variants.
-// Each translation unit (generic / AVX2 / AVX-512) instantiates the
-// sweeps with its own run body; the skeletons fix the traversal so
-// every variant applies updates in the same per-element order and the
-// only difference between variants is the register width of the
-// arithmetic. The scalar bodies double as the wide kernels' tail
-// fallback, so a partially vectorized range still follows the exact
-// reference rounding sequence.
+// Shared scalar bodies for the SIMD kernel variants. They are the
+// semantic reference: the generic variant (kernels.cpp) calls them
+// directly, and the wide variants (AVX2 / AVX-512) fall back to them
+// for tails, so a partially vectorized range still follows the exact
+// reference rounding sequence and the only difference between variants
+// is the register width of the arithmetic.
 
 namespace qgnn::simd::impl {
 
-/// Visit every RX pair group of an n-qubit lane. run(start, bit) must
-/// update the pairs (x, x + bit) for x in [start, start + bit).
-///
-/// Qubits below kMixerBlockQubits are applied block by block so a
-/// 2^kMixerBlockQubits-amplitude slab (32 KiB of re plus 32 KiB of im)
-/// is swept through all of them while cache-resident; higher qubits
-/// pair across blocks in one strided pass each. Blocking is pure
-/// scheduling: each amplitude still sees qubits 0..n-1 in order, so the
-/// block size never changes the bytes.
-inline constexpr int kMixerBlockQubits = 12;
-
-template <typename Run>
-inline void mixer_sweep(int n, Run&& run) {
-  const std::uint64_t dim = std::uint64_t{1} << n;
-  const int nb = std::min(n, kMixerBlockQubits);
-  const std::uint64_t bsize = std::uint64_t{1} << nb;
-  for (std::uint64_t base = 0; base < dim; base += bsize) {
-    for (int q = 0; q < nb; ++q) {
-      const std::uint64_t bit = std::uint64_t{1} << q;
-      for (std::uint64_t g0 = 0; g0 < bsize; g0 += bit << 1) {
-        run(base + g0, bit);
-      }
-    }
-  }
-  for (int q = nb; q < n; ++q) {
-    const std::uint64_t bit = std::uint64_t{1} << q;
-    for (std::uint64_t g0 = 0; g0 < dim; g0 += bit << 1) {
-      run(g0, bit);
-    }
-  }
-}
-
-/// mixer_sweep with the lowest `fq` qubits handed to the caller as one
-/// fused pass: run_low(start, len) must apply qubits 0..fq-1, in
-/// ascending order, to every aligned group of 2^fq amplitudes in
-/// [start, start + len). The wide kernels use this to butterfly the
-/// qubits whose pair stride is below their vector width entirely in
-/// registers (lane permutes) instead of falling back to scalar passes.
-/// Pairs for those qubits never cross a 2^fq-aligned group, and run_low
-/// keeps the per-amplitude qubit order ascending, so fusing is pure
-/// scheduling and the bytes match mixer_sweep exactly. Requires
-/// 0 < fq <= min(n, kMixerBlockQubits).
-template <typename RunLow, typename Run>
-inline void mixer_sweep_fused(int n, int fq, RunLow&& run_low, Run&& run) {
-  const std::uint64_t dim = std::uint64_t{1} << n;
-  const int nb = std::min(n, kMixerBlockQubits);
-  const std::uint64_t bsize = std::uint64_t{1} << nb;
-  for (std::uint64_t base = 0; base < dim; base += bsize) {
-    run_low(base, bsize);
-    for (int q = fq; q < nb; ++q) {
-      const std::uint64_t bit = std::uint64_t{1} << q;
-      for (std::uint64_t g0 = 0; g0 < bsize; g0 += bit << 1) {
-        run(base + g0, bit);
-      }
-    }
-  }
-  for (int q = nb; q < n; ++q) {
-    const std::uint64_t bit = std::uint64_t{1} << q;
-    for (std::uint64_t g0 = 0; g0 < dim; g0 += bit << 1) {
-      run(g0, bit);
-    }
-  }
-}
-
-/// Scalar pair-run body for the split layout; the wide kernels fall
-/// back to it for runs shorter than their vector width. Expressions
-/// match the interleaved rx_pairs_scalar exactly.
-inline void mixer_run_scalar(double* re, double* im, std::uint64_t start,
-                             std::uint64_t bit, double c, double s) {
-  double* lre = re + start;
-  double* lim = im + start;
-  double* hre = lre + bit;
-  double* him = lim + bit;
-  for (std::uint64_t x = 0; x < bit; ++x) {
-    const double lr = lre[x];
-    const double li = lim[x];
-    const double hr = hre[x];
-    const double hm = him[x];
-    lre[x] = c * lr + s * hm;
-    lim[x] = c * li - s * hr;
-    hre[x] = c * hr + s * li;
-    him[x] = c * hm - s * lr;
-  }
-}
-
-/// Scalar cost-layer body (split layout) shared by the generic kernel
-/// and the wide kernels' short-lane fallback.
-inline void cost_run_scalar(double* re, double* im,
-                            const std::uint16_t* lev, const double* tab_re,
-                            const double* tab_im, std::uint64_t lo,
-                            std::uint64_t hi) {
-  for (std::uint64_t k = lo; k < hi; ++k) {
-    const double tr = tab_re[lev[k]];
-    const double ti = tab_im[lev[k]];
-    const double nr = re[k] * tr - im[k] * ti;
-    const double ni = re[k] * ti + im[k] * tr;
-    re[k] = nr;
-    im[k] = ni;
-  }
-}
-
 /// Scalar phase-table body for the interleaved layout: amplitude k
-/// (amps[2k], amps[2k+1]) times the unit phase table[lev[k]]. Same
-/// complex-multiply expressions as cost_run_scalar.
+/// (amps[2k], amps[2k+1]) times the unit phase table[lev[k]].
 inline void phase_run_scalar(double* amps, const std::uint16_t* lev,
                              const double* table, std::uint64_t lo,
                              std::uint64_t hi) {
@@ -133,7 +29,7 @@ inline void phase_run_scalar(double* amps, const std::uint16_t* lev,
 }
 
 /// Scalar RX pair run for the interleaved layout. Expressions match
-/// mixer_run_scalar (and StateVector's historical pair_update) exactly.
+/// StateVector's historical pair_update exactly.
 inline void rx_pairs_scalar(double* lo, double* hi, std::uint64_t count,
                             double c, double s) {
   for (std::uint64_t x = 0; x < count; ++x) {

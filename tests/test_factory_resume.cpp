@@ -1,8 +1,8 @@
-// Batched dataset factory conformance (dataset/factory.hpp): the batched
-// engine must reproduce generate_dataset bit-for-bit, stay byte-identical
-// at every thread count and lane width, and survive a kill-and-resume
-// cycle (re-executing this binary, like test_determinism does) with a
-// byte-identical final file.
+// Dataset factory conformance (dataset/factory.hpp): labels stay pinned
+// to recorded digests, the bytes never depend on the thread count, and a
+// run survives a kill-and-resume cycle (re-executing this binary, like
+// test_determinism does) with a byte-identical final file.
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +16,7 @@
 #include "dataset/dataset.hpp"
 #include "dataset/factory.hpp"
 #include "dataset/packed.hpp"
+#include "util/crc32.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -47,58 +48,108 @@ std::string read_bytes(const fs::path& path) {
   return std::move(buf).str();
 }
 
-TEST(DatasetFactory, BatchedMatchesSequentialBitForBit) {
-  DatasetGenConfig config = tiny_config();
-  config.num_instances = 20;
-  config.max_nodes = 9;
-  config.seed = 11;
-
-  const auto sequential = generate_dataset(config);
-  const auto batched = generate_dataset_batched(config);
-  EXPECT_EQ(pack_dataset(batched), pack_dataset(sequential))
-      << "batched labelling drifted from generate_dataset";
+std::uint32_t labels_crc32(const DatasetGenConfig& config) {
+  const std::vector<std::uint8_t> bytes =
+      pack_dataset(generate_dataset(config));
+  return crc32_ieee(bytes.data(), bytes.size());
 }
 
-TEST(DatasetFactory, LaneWidthNeverChangesTheBytes) {
-  const DatasetGenConfig config = tiny_config();
-  const auto reference = pack_dataset(generate_dataset_batched(config));
-  for (const int lanes : {1, 3, 8, 64}) {
-    FactoryConfig factory;
-    factory.lanes = lanes;
-    EXPECT_EQ(pack_dataset(generate_dataset_batched(config, factory)),
-              reference)
-        << "lanes=" << lanes;
+/// CRC32 of pack_dataset's image for seeded configs that cover every
+/// labelling shape: one call mixing n = 2..14 (its graphs reach each of
+/// the size bands n <= 8, 9..10, 11..12 and 13..14), 40 large states
+/// (n = 13..14), depth 2, symmetrized labels and the Adam optimizer. The
+/// digests were recorded from the earlier lockstep labelling engine,
+/// which gave each of those bands its own lane width and wrote the same
+/// bytes as the per-item labeller at every width. They pin the labels
+/// across that engine's removal and hold at every ISA and thread count.
+TEST(DatasetFactory, LabelsMatchPinnedDigests) {
+  struct Case {
+    const char* name;
+    DatasetGenConfig config;
+    std::uint32_t crc;
+  };
+  std::vector<Case> cases;
+
+  DatasetGenConfig mixed;
+  mixed.num_instances = 30;
+  mixed.min_nodes = 2;
+  mixed.max_nodes = 14;
+  mixed.optimizer_evaluations = 60;
+  mixed.seed = 5;
+  cases.push_back({"mixed n=2..14", mixed, 0xebf0d182u});
+
+  DatasetGenConfig large;
+  large.num_instances = 40;
+  large.min_nodes = 13;
+  large.max_nodes = 14;
+  large.optimizer_evaluations = 30;
+  large.seed = 6;
+  cases.push_back({"n=13..14", large, 0x815290f1u});
+
+  DatasetGenConfig deep = tiny_config();
+  deep.depth = 2;
+  deep.max_nodes = 10;
+  deep.optimizer_evaluations = 60;
+  deep.seed = 7;
+  cases.push_back({"depth 2", deep, 0x1882d779u});
+
+  DatasetGenConfig symmetric = tiny_config();
+  symmetric.max_nodes = 9;
+  symmetric.symmetrize_labels = true;
+  symmetric.seed = 8;
+  cases.push_back({"symmetrized", symmetric, 0x72b1f40au});
+
+  DatasetGenConfig adam = tiny_config();
+  adam.num_instances = 6;
+  adam.optimizer = QaoaOptimizer::kAdam;
+  adam.optimizer_evaluations = 15;
+  adam.seed = 9;
+  cases.push_back({"adam", adam, 0x4525a554u});
+
+  for (const Case& c : cases) {
+    EXPECT_EQ(labels_crc32(c.config), c.crc)
+        << c.name << ": labels drifted from the pinned digest";
   }
 }
 
 TEST(DatasetFactory, ThreadCountNeverChangesTheBytes) {
   const DatasetGenConfig config = tiny_config();
-  const auto reference = pack_dataset(generate_dataset_batched(config));
+  const auto reference = pack_dataset(generate_dataset(config));
   for (const int threads : {1, 2, 8}) {
     ThreadPool::set_global_threads(threads);
-    EXPECT_EQ(pack_dataset(generate_dataset_batched(config)), reference)
+    EXPECT_EQ(pack_dataset(generate_dataset(config)), reference)
         << "threads=" << threads;
   }
   ThreadPool::set_global_threads(ThreadPool::configured_threads());
 }
 
 TEST(DatasetFactory, AdamFallbackMatchesSequential) {
+  // Optimizers other than Nelder-Mead label through the same loop: a
+  // checkpointed factory run writes exactly generate_dataset's bytes.
   DatasetGenConfig config = tiny_config();
   config.num_instances = 4;
   config.optimizer = QaoaOptimizer::kAdam;
   config.optimizer_evaluations = 15;
-  EXPECT_EQ(pack_dataset(generate_dataset_batched(config)),
-            pack_dataset(generate_dataset(config)));
+  const fs::path base = temp_dir("adam");
+  fs::remove_all(base);
+  FactoryConfig factory;
+  factory.checkpoint_every = 3;
+  factory.checkpoint_dir = (base / "ckpt").string();
+  const fs::path out = base / "out.qds";
+  ASSERT_TRUE(run_dataset_factory(config, factory, out.string()));
+  const std::vector<std::uint8_t> expect =
+      pack_dataset(generate_dataset(config));
+  EXPECT_EQ(read_bytes(out), std::string(expect.begin(), expect.end()));
+  fs::remove_all(base);
 }
 
 TEST(DatasetFactory, ProgressReachesTotal) {
   const DatasetGenConfig config = tiny_config();
   int last = 0;
-  const auto entries = generate_dataset_batched(
-      config, {}, [&](int done, int total) {
-        EXPECT_LE(done, total);
-        last = done;
-      });
+  const auto entries = generate_dataset(config, [&](int done, int total) {
+    EXPECT_LE(done, total);
+    last = done;
+  });
   EXPECT_EQ(entries.size(), 12u);
   EXPECT_EQ(last, 12);
 }

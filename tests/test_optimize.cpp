@@ -170,89 +170,5 @@ TEST_P(NelderMeadDimTest, ScalesWithDimension) {
 INSTANTIATE_TEST_SUITE_P(DimSweep, NelderMeadDimTest,
                          ::testing::Values(1, 2, 3, 4, 6, 8));
 
-/// Drive a stepper with the given objective until exhaustion.
-OptResult drive_stepper(const Objective& f, const std::vector<double>& start,
-                        const NelderMeadConfig& config) {
-  NelderMeadStepper s(start, config);
-  while (const std::vector<double>* x = s.ask()) s.tell(f(*x));
-  EXPECT_TRUE(s.done());
-  return s.take_result();
-}
-
-void expect_results_identical(const OptResult& a, const OptResult& b) {
-  EXPECT_EQ(a.best_params, b.best_params);  // bitwise, not approximate
-  EXPECT_EQ(a.best_value, b.best_value);
-  EXPECT_EQ(a.evaluations, b.evaluations);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.converged, b.converged);
-}
-
-TEST(NelderMeadStepper, ReplaysMonolithicSearchBitForBit) {
-  // The ask/tell stepper must request exactly the evaluation sequence of
-  // nelder_mead_maximize and land on an identical OptResult — this is
-  // what lets the batched dataset factory interleave K searches without
-  // changing any label. Cover landscapes that exercise reflection,
-  // expansion, both contractions, shrinks, budget exhaustion, and
-  // convergence.
-  struct Case {
-    const char* name;
-    Objective f;
-    std::vector<double> start;
-    int max_evaluations;
-  };
-  const std::vector<Case> cases = {
-      {"quadratic2d", quadratic({1.5, -2.0}, 7.0), {0.0, 0.0}, 300},
-      {"quadratic4d", quadratic({0.5, -0.5, 2.0, 1.0}, 3.0),
-       {0.0, 0.0, 0.0, 0.0}, 800},
-      {"tight-budget", quadratic({1.0, 1.0}, 1.0), {-3.0, 2.0}, 7},
-      {"trig",
-       [](const std::vector<double>& x) {
-         return std::sin(3.0 * x[0]) * std::cos(2.0 * x[1]) -
-                0.1 * (x[0] * x[0] + x[1] * x[1]);
-       },
-       {0.3, -0.2}, 400},
-      {"ridge",
-       [](const std::vector<double>& x) {
-         return -std::abs(x[0] - x[1]) - 0.01 * x[0] * x[0];
-       },
-       {2.0, -1.0}, 250},
-  };
-  for (const Case& c : cases) {
-    NelderMeadConfig config;
-    config.max_evaluations = c.max_evaluations;
-    const OptResult mono = nelder_mead_maximize(c.f, c.start, config);
-    const OptResult stepped = drive_stepper(c.f, c.start, config);
-    SCOPED_TRACE(c.name);
-    expect_results_identical(mono, stepped);
-  }
-}
-
-TEST(NelderMeadStepper, AskIsStableUntilTell) {
-  NelderMeadConfig config;
-  config.max_evaluations = 50;
-  NelderMeadStepper s({0.0, 0.0}, config);
-  const std::vector<double>* a = s.ask();
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(s.ask(), a);  // repeated ask returns the same pending point
-  s.tell(1.0);
-  EXPECT_NE(s.ask(), nullptr);
-}
-
-TEST(NelderMeadStepper, RejectsNonFiniteValues) {
-  NelderMeadStepper s({0.0, 0.0}, {});
-  ASSERT_NE(s.ask(), nullptr);
-  EXPECT_THROW(s.tell(std::nan("")), Error);
-}
-
-TEST(NelderMeadStepper, CountsEvaluationsLikeMonolith) {
-  const auto f = quadratic({1.0}, 2.0);
-  NelderMeadConfig config;
-  config.max_evaluations = 30;
-  const OptResult mono = nelder_mead_maximize(f, {5.0}, config);
-  NelderMeadStepper s({5.0}, config);
-  while (const std::vector<double>* x = s.ask()) s.tell(f(*x));
-  EXPECT_EQ(s.evaluations(), mono.evaluations);
-}
-
 }  // namespace
 }  // namespace qgnn
