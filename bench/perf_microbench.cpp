@@ -76,15 +76,20 @@ void BM_QaoaExpectationExplicitCircuit(benchmark::State& state) {
 }
 BENCHMARK(BM_QaoaExpectationExplicitCircuit)->DenseRange(6, 14, 2);
 
+// The cut table, its optimum and its phase-table levels for one graph
+// (Args: n, d): the d = 3 size sweep, then the serving classes whose
+// verify_ar pays one build per cache miss.
 void BM_CostHamiltonianBuild(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const Graph g = bench_graph(n, 3);
+  const Graph g = bench_graph(static_cast<int>(state.range(0)),
+                              static_cast<int>(state.range(1)));
   for (auto _ : state) {
     CostHamiltonian cost(g);
     benchmark::DoNotOptimize(cost.max_value());
   }
 }
-BENCHMARK(BM_CostHamiltonianBuild)->DenseRange(6, 16, 2);
+BENCHMARK(BM_CostHamiltonianBuild)
+    ->ArgsProduct({benchmark::CreateDenseRange(6, 16, 2), {3}})
+    ->Args({13, 6})->Args({14, 4})->Args({14, 5})->Args({14, 6});
 
 void BM_MaxCutBruteForce(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
@@ -454,9 +459,11 @@ BENCHMARK(BM_RzzThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 void BM_DatasetLabellingThreads(benchmark::State& state) {
   const int threads = static_cast<int>(state.range(0));
   ThreadPool::set_global_threads(threads);
+  // One graph size and 8 items per thread at the widest row, so no single
+  // large item bounds a row's time.
   DatasetGenConfig config;
-  config.num_instances = 12;
-  config.min_nodes = 8;
+  config.num_instances = 64;
+  config.min_nodes = 12;
   config.max_nodes = 12;
   config.optimizer_evaluations = 120;
   config.seed = 17;

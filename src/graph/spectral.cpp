@@ -23,12 +23,14 @@ std::vector<double> adjacency_matrix(const Graph& g) {
 std::vector<double> laplacian_matrix(const Graph& g) {
   const auto n = static_cast<std::size_t>(g.num_nodes());
   std::vector<double> l = adjacency_matrix(g);
-  for (std::size_t i = 0; i < n * n; ++i) l[i] = -l[i];
   for (int v = 0; v < g.num_nodes(); ++v) {
+    double* row = l.data() + static_cast<std::size_t>(v) * n;
     double weighted_degree = 0.0;
-    for (int u : g.neighbors(v)) weighted_degree += g.edge_weight(u, v);
-    l[static_cast<std::size_t>(v) * n + static_cast<std::size_t>(v)] =
-        weighted_degree;
+    for (int u : g.neighbors(v)) {
+      weighted_degree += row[static_cast<std::size_t>(u)];
+    }
+    for (std::size_t c = 0; c < n; ++c) row[c] = -row[c];
+    row[v] = weighted_degree;
   }
   return l;
 }

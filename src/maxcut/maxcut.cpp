@@ -8,6 +8,26 @@
 
 namespace qgnn {
 
+namespace {
+
+/// Edge weights by (node, neighbour), read from one adjacency matrix per
+/// call instead of a scan of the edge list for every pair. The matrix
+/// holds each edge's weight as given, so every sum keeps its bits.
+class WeightMatrix {
+ public:
+  explicit WeightMatrix(const Graph& g)
+      : n_(static_cast<std::size_t>(g.num_nodes())), a_(adjacency_matrix(g)) {}
+  double operator()(int v, int u) const {
+    return a_[static_cast<std::size_t>(v) * n_ + static_cast<std::size_t>(u)];
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<double> a_;
+};
+
+}  // namespace
+
 double cut_value(const Graph& g, std::uint64_t assignment) {
   double value = 0.0;
   for (const Edge& e : g.edges()) {
@@ -36,6 +56,7 @@ Cut max_cut_brute_force(const Graph& g) {
 
 Cut max_cut_greedy(const Graph& g) {
   const int n = g.num_nodes();
+  const WeightMatrix weight(g);
   std::uint64_t assignment = 0;
   // Node v joins the side maximizing crossing weight to nodes < v.
   for (int v = 1; v < n; ++v) {
@@ -43,7 +64,7 @@ Cut max_cut_greedy(const Graph& g) {
     for (int u : g.neighbors(v)) {
       if (u >= v) continue;
       const bool su = (assignment >> u) & 1;
-      const double w = g.edge_weight(u, v);
+      const double w = weight(v, u);
       gain_side1 += su ? -w : w;
     }
     if (gain_side1 > 0.0) assignment |= std::uint64_t{1} << v;
@@ -53,6 +74,7 @@ Cut max_cut_greedy(const Graph& g) {
 
 Cut max_cut_local_search(const Graph& g, std::uint64_t start) {
   const int n = g.num_nodes();
+  const WeightMatrix weight(g);
   std::uint64_t assignment = start;
   bool improved = true;
   while (improved) {
@@ -63,7 +85,7 @@ Cut max_cut_local_search(const Graph& g, std::uint64_t start) {
       const bool sv = (assignment >> v) & 1;
       for (int u : g.neighbors(v)) {
         const bool su = (assignment >> u) & 1;
-        const double w = g.edge_weight(u, v);
+        const double w = weight(v, u);
         gain += (su == sv) ? w : -w;
       }
       if (gain > 1e-12) {
@@ -100,6 +122,7 @@ Cut max_cut_simulated_annealing(const Graph& g, int sweeps, Rng& rng,
                "temperatures must satisfy t_start >= t_end > 0");
   const int n = g.num_nodes();
   if (n <= 1 || g.num_edges() == 0) return Cut{0, 0.0};
+  const WeightMatrix weight(g);
 
   // Random initial assignment.
   std::uint64_t assignment = 0;
@@ -120,7 +143,7 @@ Cut max_cut_simulated_annealing(const Graph& g, int sweeps, Rng& rng,
       const bool sv = (assignment >> v) & 1;
       for (int u : g.neighbors(v)) {
         const bool su = (assignment >> u) & 1;
-        const double w = g.edge_weight(u, v);
+        const double w = weight(v, u);
         gain += (su == sv) ? w : -w;
       }
       if (gain >= 0.0 || rng.uniform() < std::exp(gain / temperature)) {

@@ -14,10 +14,10 @@ namespace qgnn {
 ///
 /// C is diagonal in the computational basis: its eigenvalue on basis state
 /// |x> is exactly the cut value of the assignment x. The full diagonal is
-/// precomputed once per graph (O(2^n * m)) and handed to a QaoaEvalEngine,
-/// which owns the fast evaluation paths (phase-table cost layer, fused
-/// mixer, adjoint gradients). For unweighted graphs cut values are small
-/// integers, so the phase table is always active.
+/// precomputed once per graph, in O(2^n) adds for unit weights and per edge
+/// (O(2^n * m)) otherwise, and handed to a QaoaEvalEngine, which owns the
+/// optimum and the fast evaluation paths (phase-table cost layer, fused
+/// mixer, adjoint gradients).
 class CostHamiltonian {
  public:
   explicit CostHamiltonian(const Graph& g);
@@ -35,9 +35,9 @@ class CostHamiltonian {
 
   /// Largest eigenvalue = exact Max-Cut optimum (from the same table, so
   /// always consistent with the diagonal).
-  double max_value() const { return max_value_; }
-  /// A basis state achieving max_value().
-  std::uint64_t argmax() const { return argmax_; }
+  double max_value() const { return engine_.max_value(); }
+  /// The first basis state achieving max_value().
+  std::uint64_t argmax() const { return engine_.argmax(); }
 
   /// Apply the QAOA cost layer exp(-i gamma C) to `state`.
   void apply_phase(StateVector& state, double gamma) const;
@@ -46,11 +46,7 @@ class CostHamiltonian {
   double expectation(const StateVector& state) const;
 
  private:
-  static std::vector<double> cut_value_table(const Graph& g);
-
   QaoaEvalEngine engine_;
-  double max_value_ = 0.0;
-  std::uint64_t argmax_ = 0;
 };
 
 }  // namespace qgnn

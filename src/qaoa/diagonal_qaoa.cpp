@@ -7,17 +7,7 @@
 namespace qgnn {
 
 DiagonalQaoa::DiagonalQaoa(int num_qubits, std::vector<double> diagonal)
-    : engine_(num_qubits, std::move(diagonal)) {
-  const std::span<const double> diag = engine_.diagonal();
-  max_value_ = diag[0];
-  argmax_ = 0;
-  for (std::uint64_t k = 1; k < diag.size(); ++k) {
-    if (diag[k] > max_value_) {
-      max_value_ = diag[k];
-      argmax_ = k;
-    }
-  }
-}
+    : engine_(num_qubits, std::move(diagonal)) {}
 
 StateVector DiagonalQaoa::prepare_state(const QaoaParams& params) const {
   StateVector state = StateVector::plus_state(num_qubits());
@@ -31,9 +21,9 @@ double DiagonalQaoa::expectation(const QaoaParams& params) const {
 }
 
 double DiagonalQaoa::approximation_ratio(const QaoaParams& params) const {
-  QGNN_REQUIRE(max_value_ > 0.0,
+  QGNN_REQUIRE(max_value() > 0.0,
                "approximation ratio undefined for non-positive optimum");
-  return expectation(params) / max_value_;
+  return expectation(params) / max_value();
 }
 
 }  // namespace qgnn

@@ -21,8 +21,8 @@ class DiagonalQaoa {
 
   int num_qubits() const { return engine_.num_qubits(); }
   std::span<const double> diagonal() const { return engine_.diagonal(); }
-  double max_value() const { return max_value_; }
-  std::uint64_t argmax() const { return argmax_; }
+  double max_value() const { return engine_.max_value(); }
+  std::uint64_t argmax() const { return engine_.argmax(); }
 
   /// The evaluation engine bound to this diagonal.
   const QaoaEvalEngine& engine() const { return engine_; }
@@ -35,8 +35,6 @@ class DiagonalQaoa {
 
  private:
   QaoaEvalEngine engine_;
-  double max_value_ = 0.0;
-  std::uint64_t argmax_ = 0;
 };
 
 }  // namespace qgnn

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -58,26 +59,41 @@ QaoaEvalEngine::QaoaEvalEngine(int num_qubits, std::vector<double> diagonal,
   build_levels(std::min(max_levels, kDefaultMaxLevels));
 }
 
+QaoaEvalEngine::QaoaEvalEngine(int num_qubits,
+                               std::vector<std::uint16_t> values)
+    : num_qubits_(num_qubits),
+      diag_(values.begin(), values.end()),
+      level_of_(std::move(values)) {
+  QGNN_REQUIRE(num_qubits >= 1 && num_qubits <= kMaxQubits &&
+                   level_of_.size() == (std::size_t{1} << num_qubits),
+               "need 2^n values for 1 <= n <= kMaxQubits");
+  const auto top = std::max_element(level_of_.begin(), level_of_.end());
+  max_value_ = *top;
+  argmax_ = static_cast<std::uint64_t>(top - level_of_.begin());
+  levels_.resize(std::size_t{*top} + 1);
+  std::iota(levels_.begin(), levels_.end(), 0.0);
+}
+
 void QaoaEvalEngine::build_levels(std::size_t max_levels) {
+  bool finite = true;
+  bool small_ints = true;
+  max_value_ = diag_[0];
+  for (std::size_t k = 0; k < diag_.size(); ++k) {
+    const double v = diag_[k];
+    if (v > max_value_) {
+      max_value_ = v;
+      argmax_ = k;
+    }
+    finite = finite && std::isfinite(v);
+    small_ints = small_ints && v >= 0.0 && v == std::floor(v) &&
+                 v < static_cast<double>(kDefaultMaxLevels);
+  }
   // Fast path for Max-Cut style diagonals: small non-negative integers
   // index the table directly, no sort and no per-state binary search.
-  bool small_ints = true;
-  double max_val = 0.0;
-  for (double v : diag_) {
-    if (!std::isfinite(v)) return;  // NaN/inf: table off, generic path only
-    if (v < 0.0 || v != std::floor(v) ||
-        v >= static_cast<double>(kDefaultMaxLevels)) {
-      small_ints = false;
-    }
-    max_val = std::max(max_val, v);
-  }
   if (small_ints &&
-      static_cast<std::size_t>(max_val) + 1 <= max_levels) {
-    const std::size_t count = static_cast<std::size_t>(max_val) + 1;
-    levels_.resize(count);
-    for (std::size_t l = 0; l < count; ++l) {
-      levels_[l] = static_cast<double>(l);
-    }
+      static_cast<std::size_t>(max_value_) + 1 <= max_levels) {
+    levels_.resize(static_cast<std::size_t>(max_value_) + 1);
+    std::iota(levels_.begin(), levels_.end(), 0.0);
     level_of_.resize(diag_.size());
     for (std::size_t k = 0; k < diag_.size(); ++k) {
       level_of_[k] = static_cast<std::uint16_t>(diag_[k]);
@@ -85,6 +101,7 @@ void QaoaEvalEngine::build_levels(std::size_t max_levels) {
     return;
   }
 
+  if (!finite) return;  // NaN/inf: table off, generic path only
   // General diagonals: quantize onto the exact distinct values (exact
   // double ==, no epsilon — the table must reproduce the generic path
   // bit-for-bit). More distinct values than the budget means the table

@@ -74,9 +74,18 @@ class QaoaEvalEngine {
   QaoaEvalEngine(int num_qubits, std::vector<double> diagonal,
                  std::size_t max_levels = kDefaultMaxLevels);
 
+  /// A diagonal of small non-negative integers (unit-weight cut values),
+  /// kept as the phase-table index: no scan of the doubles runs.
+  QaoaEvalEngine(int num_qubits, std::vector<std::uint16_t> values);
+
   int num_qubits() const { return num_qubits_; }
   std::uint64_t dimension() const { return std::uint64_t{1} << num_qubits_; }
   std::span<const double> diagonal() const { return diag_; }
+
+  /// Largest diagonal value and the first state reaching it, found at
+  /// construction alongside the phase table.
+  double max_value() const { return max_value_; }
+  std::uint64_t argmax() const { return argmax_; }
 
   /// True when the quantized cost layer is in use.
   bool phase_table_active() const { return !level_of_.empty(); }
@@ -130,6 +139,8 @@ class QaoaEvalEngine {
 
   int num_qubits_;
   std::vector<double> diag_;
+  double max_value_ = 0.0;
+  std::uint64_t argmax_ = 0;
   std::vector<double> levels_;          // distinct diagonal values
   std::vector<std::uint16_t> level_of_; // per-state level index; empty =>
                                         // table inactive

@@ -337,9 +337,11 @@ void ServeHandle::maybe_verify(Prediction& p, const Graph& g) {
   const bool obs_on = obs::enabled();
   const auto verify_start = obs_on ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
-  // One CostHamiltonian build + one engine evaluation per request. The
-  // engine's phase-table and fused-mixer kernels make this cheap enough to
-  // run inline on the request thread at paper-scale n.
+  // One cut-table build + one engine evaluation per request. The table
+  // (and with it the exact optimum) is built by doubling for unit-weight
+  // graphs, and the engine's phase-table and fused-mixer kernels do the
+  // evaluation, cheap enough to run inline on the request thread at
+  // paper-scale n.
   const QaoaAnsatz ansatz(g);
   p.approximation_ratio =
       ansatz.approximation_ratio(target_to_params(p.values));

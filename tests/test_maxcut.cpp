@@ -176,5 +176,39 @@ TEST(BruteForce, RejectsOversizedGraph) {
   EXPECT_THROW(max_cut_brute_force(Graph(27)), InvalidArgument);
 }
 
+// The heuristics on a graph with real weights of both signs, pinned to
+// the assignments and exact values recorded when they read each weight
+// with Graph::edge_weight, so reading them any other way keeps every
+// sum's order.
+Graph pinned_weighted_graph() {
+  Rng rng(71);
+  return with_random_weights(random_regular_graph(14, 5, rng), -0.5, 2.0,
+                             rng);
+}
+
+TEST(Greedy, WeightedOutputIsPinned) {
+  const Cut c = max_cut_greedy(pinned_weighted_graph());
+  EXPECT_EQ(c.assignment, 0x23f0u);
+  EXPECT_EQ(c.value, 0x1.1901d0638b7dbp+4);
+}
+
+TEST(LocalSearch, WeightedOutputIsPinned) {
+  const Graph g = pinned_weighted_graph();
+  const Cut c = max_cut_local_search(g, 0x2a5b);
+  EXPECT_EQ(c.assignment, 0x23d8u);
+  EXPECT_EQ(c.value, 0x1.20063f0d1c8cap+4);
+  Rng rng(72);
+  const Cut best = max_cut_local_search_multistart(g, 6, rng);
+  EXPECT_EQ(best.assignment, 0xe65u);
+  EXPECT_EQ(best.value, 0x1.285416cd8b807p+4);
+}
+
+TEST(SimulatedAnnealing, WeightedOutputIsPinned) {
+  Rng rng(73);
+  const Cut c = max_cut_simulated_annealing(pinned_weighted_graph(), 40, rng);
+  EXPECT_EQ(c.assignment, 0x118fu);
+  EXPECT_EQ(c.value, 0x1.1e9a1f531e347p+4);
+}
+
 }  // namespace
 }  // namespace qgnn

@@ -267,6 +267,10 @@ TEST(QubitCap, EnforcedConsistentlyAcrossLayers) {
       QaoaEvalEngine(kMaxQubits + 1,
                      std::vector<double>(1, 0.0)),  // size check comes later
       InvalidArgument);
+  EXPECT_THROW(QaoaEvalEngine(kMaxQubits + 1, std::vector<std::uint16_t>(1)),
+               InvalidArgument);
+  EXPECT_THROW(QaoaEvalEngine(2, std::vector<std::uint16_t>(3)),
+               InvalidArgument);
   EXPECT_NO_THROW(StateVector{kMaxQubits});
 }
 

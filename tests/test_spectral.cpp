@@ -32,6 +32,24 @@ TEST(Matrices, AdjacencyAndLaplacianStructure) {
   }
 }
 
+TEST(Matrices, WeightedLaplacianIsPinned) {
+  // Real weights whose degree sums depend on the summation order: the
+  // diagonal is pinned to the bits recorded when each weight was read
+  // with Graph::edge_weight in neighbour order.
+  Rng rng(74);
+  const Graph g =
+      with_random_weights(random_regular_graph(9, 4, rng), -1.0, 3.0, rng);
+  const auto l = laplacian_matrix(g);
+  double trace = 0.0;
+  for (int v = 0; v < 9; ++v) {
+    trace += l[static_cast<std::size_t>(v * 9 + v)];
+  }
+  EXPECT_EQ(l[0], 0x1.cf2d65f0084ecp+1);
+  EXPECT_EQ(l[4 * 9 + 4], 0x1.b7f2f08f9bc03p+0);
+  EXPECT_EQ(trace, 0x1.bb7219ad9e9abp+4);
+  EXPECT_NEAR(trace, 2.0 * g.total_weight(), 1e-12);
+}
+
 TEST(Jacobi, DiagonalMatrixIsItsOwnSpectrum) {
   const std::vector<double> d{3.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 2.0};
   const EigenResult r = jacobi_eigen(d, 3);
