@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
       const StateVector state = ansatz.prepare_state(params);
       double second = 0.0;
       for (std::uint64_t k = 0; k < state.dimension(); ++k) {
-        const double c = ansatz.cost().value(k);
+        const double c = ansatz.engine().diagonal()[k];
         second += state.probability(k) * c * c;
       }
       const double variance = second - exact * exact;
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       const int trajectories = rate == 0.0 ? 1 : 60;
       const double e =
           noisy_expectation(g, params, noise, trajectories, nrng);
-      ar.add(e / ansatz.cost().max_value());
+      ar.add(e / ansatz.engine().max_value());
     }
     if (rate == 0.0) noiseless_ar = ar.mean();
     noise_table.add_row({format_double(rate, 3),

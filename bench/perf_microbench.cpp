@@ -27,7 +27,6 @@
 #include "qaoa/noise.hpp"
 #include "qaoa/optimize.hpp"
 #include "quantum/density_matrix.hpp"
-#include "quantum/pauli.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
 #include "util/thread_pool.hpp"
@@ -70,21 +69,22 @@ void BM_QaoaExpectationExplicitCircuit(benchmark::State& state) {
   const QaoaAnsatz ansatz(g);
   const QaoaParams params = QaoaParams::single(0.6, 0.35);
   for (auto _ : state) {
-    const StateVector s = ansatz.build_circuit(params).simulate_from_plus();
-    benchmark::DoNotOptimize(ansatz.cost().expectation(s));
+    const StateVector s = qaoa_circuit(g, params).simulate_from_plus();
+    benchmark::DoNotOptimize(ansatz.engine().expectation_of(s));
   }
 }
 BENCHMARK(BM_QaoaExpectationExplicitCircuit)->DenseRange(6, 14, 2);
 
-// The cut table, its optimum and its phase-table levels for one graph
-// (Args: n, d): the d = 3 size sweep, then the serving classes whose
-// verify_ar pays one build per cache miss.
+// The cut table, its optimum and its phase-table levels for one graph,
+// as QaoaAnsatz(g) builds them (Args: n, d): the d = 3 size sweep, then
+// the serving classes whose verify_ar pays one build per cache miss. The
+// name stays so BENCH_qaoa.json rows still diff.
 void BM_CostHamiltonianBuild(benchmark::State& state) {
   const Graph g = bench_graph(static_cast<int>(state.range(0)),
                               static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    CostHamiltonian cost(g);
-    benchmark::DoNotOptimize(cost.max_value());
+    const QaoaAnsatz ansatz(g);
+    benchmark::DoNotOptimize(ansatz.engine().max_value());
   }
 }
 BENCHMARK(BM_CostHamiltonianBuild)
@@ -189,18 +189,6 @@ void BM_NoisyTrajectoryVsExactChannel(benchmark::State& state) {
 }
 BENCHMARK(BM_NoisyTrajectoryVsExactChannel)->Arg(8)->Arg(12);
 
-void BM_PauliSumExpectation(benchmark::State& state) {
-  // Generic Pauli-sum path vs the diagonal fast path (BM_QaoaExpectation*)
-  // for the same observable.
-  const Graph g = bench_graph(static_cast<int>(state.range(0)), 3);
-  const PauliSum sum = maxcut_pauli_sum(g);
-  const StateVector s = StateVector::plus_state(g.num_nodes());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sum.expectation(s));
-  }
-}
-BENCHMARK(BM_PauliSumExpectation)->Arg(8)->Arg(12);
-
 void BM_JacobiEigenLaplacian(benchmark::State& state) {
   const Graph g = bench_graph(static_cast<int>(state.range(0)), 3);
   for (auto _ : state) {
@@ -282,11 +270,11 @@ void BM_QaoaEngineEval(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(depth);
   EvalWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.engine().expectation(params, ws));
+    benchmark::DoNotOptimize(ansatz.engine().expectation(params, ws));
   }
   state.counters["qubits"] = n;
   state.counters["depth"] = depth;
@@ -301,10 +289,10 @@ void BM_QaoaGenericEval(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(depth);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.engine().expectation_reference(params));
+    benchmark::DoNotOptimize(ansatz.engine().expectation_reference(params));
   }
   state.counters["qubits"] = n;
   state.counters["depth"] = depth;
@@ -319,11 +307,11 @@ void BM_QaoaEngineEvalThreads(benchmark::State& state) {
   ThreadPool::set_global_threads(threads);
   // 18 qubits, matching the kThreadSweepQubits sweeps below.
   const Graph g = bench_graph(18, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(1);
   EvalWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.engine().expectation(params, ws));
+    benchmark::DoNotOptimize(ansatz.engine().expectation(params, ws));
   }
   state.counters["threads"] = threads;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -337,13 +325,13 @@ void BM_QaoaAdjointGradient(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(depth);
   EvalWorkspace ws;
   std::vector<double> grad;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cost.engine().value_and_gradient(params, grad, ws));
+        ansatz.engine().value_and_gradient(params, grad, ws));
   }
   state.counters["qubits"] = n;
   state.counters["depth"] = depth;
@@ -354,7 +342,7 @@ BENCHMARK(BM_QaoaAdjointGradient)
     ->ArgsProduct({{10, 14}, {1, 2, 4}})->UseRealTime();
 
 void BM_QaoaFdGradient(benchmark::State& state) {
-  // What one Adam iteration's gradient cost with central finite
+  // What one Adam iteration's gradient would cost with central finite
   // differences: 4*depth engine evaluations (plus the value itself in the
   // optimizer loop, not counted here). Compare per-pass time directly
   // against BM_QaoaAdjointGradient at equal (qubits, depth).
@@ -362,10 +350,10 @@ void BM_QaoaFdGradient(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   EvalWorkspace ws;
-  const Objective f = [&cost, &ws](const std::vector<double>& flat) {
-    return cost.engine().expectation(QaoaParams::from_flat(flat), ws);
+  const Objective f = [&ansatz, &ws](const std::vector<double>& flat) {
+    return ansatz.engine().expectation(QaoaParams::from_flat(flat), ws);
   };
   const std::vector<double> x = bench_params(depth).flatten();
   for (auto _ : state) {
@@ -544,11 +532,11 @@ void BM_QaoaEngineEvalIsa(benchmark::State& state) {
   ThreadPool::set_global_threads(1);
   const int n = static_cast<int>(state.range(0));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(1);
   EvalWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.engine().expectation(params, ws));
+    benchmark::DoNotOptimize(ansatz.engine().expectation(params, ws));
   }
   state.counters["qubits"] = n;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -580,11 +568,11 @@ void BM_PhaseTableIsa(benchmark::State& state) {
   ThreadPool::set_global_threads(1);
   const int n = static_cast<int>(state.range(0));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   StateVector s = StateVector::plus_state(n);
   std::vector<Amplitude> table;
   for (auto _ : state) {
-    cost.engine().apply_cost_layer(s, 0.6, table);
+    ansatz.engine().apply_cost_layer(s, 0.6, table);
     benchmark::DoNotOptimize(s.mutable_amplitudes().data());
   }
   state.counters["qubits"] = n;

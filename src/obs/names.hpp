@@ -56,10 +56,6 @@ inline constexpr const char* kDatasetShardCommitUs = "dataset.shard_commit_us";
 
 // Networked front end (src/net/tcp_server.cpp).
 inline constexpr const char* kNetConnectionsAccepted = "net.connections_accepted";
-inline constexpr const char* kNetLinesIn = "net.lines_in";
-inline constexpr const char* kNetLinesOut = "net.lines_out";
-inline constexpr const char* kNetOversizedLines = "net.oversized_lines";
-inline constexpr const char* kNetQueueWaitUs = "net.queue_wait_us";
 
 // Shard router (src/serve/router.cpp).
 inline constexpr const char* kRouterRequests = "router.requests";

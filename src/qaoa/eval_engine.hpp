@@ -41,9 +41,9 @@ class EvalWorkspace {
 
 /// High-throughput evaluator for diagonal-cost QAOA:
 ///   |psi(gamma, beta)> = prod_l [RX-layer(2 beta_l) e^{-i gamma_l D}] |+>^n
-/// for an arbitrary real diagonal D (Max-Cut cut values, Ising energies,
-/// ...). This is the hot engine under dataset labelling, the optimizer
-/// loops, serve-time AR verification, and the bench suite.
+/// for a real diagonal D: the Max-Cut cut values QaoaAnsatz builds, unit
+/// or weighted. This is the hot engine under dataset labelling, the
+/// optimizer loops, serve-time AR verification, and the bench suite.
 ///
 /// Fast paths, applied automatically:
 ///  - Phase-table cost layer: when D takes at most kDefaultMaxLevels

@@ -12,7 +12,7 @@ double sampled_expectation(const QaoaAnsatz& ansatz, const QaoaParams& params,
   const StateVector state = ansatz.prepare_state(params);
   double total = 0.0;
   for (int s = 0; s < shots; ++s) {
-    total += ansatz.cost().value(state.sample(rng));
+    total += ansatz.engine().diagonal()[state.sample(rng)];
   }
   return total / static_cast<double>(shots);
 }
@@ -72,12 +72,12 @@ double noisy_expectation(const Graph& g, const QaoaParams& params,
                          const NoiseModel& noise, int trajectories,
                          Rng& rng) {
   QGNN_REQUIRE(trajectories >= 1, "need at least one trajectory");
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   if (noise.is_noiseless()) trajectories = 1;
   double total = 0.0;
   for (int t = 0; t < trajectories; ++t) {
     const StateVector state = noisy_qaoa_trajectory(g, params, noise, rng);
-    total += cost.expectation(state);
+    total += ansatz.engine().expectation_of(state);
   }
   return total / static_cast<double>(trajectories);
 }
@@ -107,8 +107,8 @@ double exact_noisy_expectation(const Graph& g, const QaoaParams& params,
       }
     }
   }
-  const CostHamiltonian cost(g);
-  return rho.expectation_diagonal(cost.diagonal());
+  const QaoaAnsatz ansatz(g);
+  return rho.expectation_diagonal(ansatz.engine().diagonal());
 }
 
 }  // namespace qgnn

@@ -10,8 +10,9 @@ QaoaResult run_qaoa_from(const Graph& g, const QaoaParams& start,
                          const QaoaRunConfig& config, Rng& rng) {
   QGNN_REQUIRE(start.depth() == config.depth,
                "initial parameters do not match configured depth");
-  QaoaAnsatz ansatz(g);
-  const double optimum = ansatz.cost().max_value();
+  const QaoaAnsatz ansatz(g);
+  const QaoaEvalEngine& engine = ansatz.engine();
+  const double optimum = engine.max_value();
 
   QaoaResult result;
   result.initial_params = start;
@@ -26,25 +27,18 @@ QaoaResult run_qaoa_from(const Graph& g, const QaoaParams& start,
     result.evaluations = 1;
     result.trace = {result.initial_expectation};
   } else {
-    const QaoaEvalEngine& engine = ansatz.cost().engine();
     // One workspace for the whole optimization: every evaluation below
     // reuses its statevector buffers instead of allocating 2^n amplitudes.
     EvalWorkspace ws;
-    const Objective objective = [&engine,
-                                 &ws](const std::vector<double>& flat) {
-      return engine.expectation(QaoaParams::from_flat(flat), ws);
-    };
     OptResult opt;
     if (config.optimizer == QaoaOptimizer::kNelderMead) {
+      const Objective objective = [&engine,
+                                   &ws](const std::vector<double>& flat) {
+        return engine.expectation(QaoaParams::from_flat(flat), ws);
+      };
       NelderMeadConfig nm;
       nm.max_evaluations = config.max_evaluations;
       opt = nelder_mead_maximize(objective, start.flatten(), nm);
-    } else if (config.adam_finite_difference) {
-      AdamConfig adam;
-      // Each Adam iteration costs 2*dim gradient evals + 1 value eval.
-      const int per_iter = 2 * 2 * config.depth + 1;
-      adam.max_iterations = std::max(1, config.max_evaluations / per_iter);
-      opt = adam_maximize(objective, start.flatten(), adam);
     } else {
       const GradientObjective fg = [&engine, &ws](
                                        const std::vector<double>& flat,
@@ -55,8 +49,7 @@ QaoaResult run_qaoa_from(const Graph& g, const QaoaParams& start,
       AdamConfig adam;
       // An adjoint value-plus-gradient pass costs about as much as 3 plain
       // evaluations (forward prep + seed + two reverse statevector sweeps
-      // per layer), independent of depth — that is the budget conversion,
-      // so runs stay comparable with the FD path at equal max_evaluations.
+      // per layer), independent of depth — that is the budget conversion.
       adam.max_iterations = std::max(1, config.max_evaluations / 3);
       opt = adam_maximize(fg, start.flatten(), adam);
     }
@@ -73,7 +66,7 @@ QaoaResult run_qaoa_from(const Graph& g, const QaoaParams& start,
     Cut best{0, -1.0};
     for (int s = 0; s < config.sample_shots; ++s) {
       const std::uint64_t bits = final_state.sample(rng);
-      const double v = ansatz.cost().value(bits);
+      const double v = engine.diagonal()[bits];
       if (v > best.value) best = Cut{bits, v};
     }
     result.sampled_cut = best;
@@ -88,7 +81,7 @@ QaoaResult run_qaoa_from(const Graph& g, const QaoaParams& start,
         best_idx = k;
       }
     }
-    result.sampled_cut = Cut{best_idx, ansatz.cost().value(best_idx)};
+    result.sampled_cut = Cut{best_idx, engine.diagonal()[best_idx]};
   }
   return result;
 }

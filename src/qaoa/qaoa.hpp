@@ -27,11 +27,6 @@ struct QaoaRunConfig {
   /// Shots for sampling a concrete cut from the final state; 0 disables
   /// sampling and reports the most probable basis state instead.
   int sample_shots = 256;
-  /// kAdam only: use the legacy central-finite-difference gradient instead
-  /// of the adjoint-mode analytic gradient. Kept as a cross-check; the
-  /// adjoint path is the default because one adjoint pass costs roughly 3
-  /// evaluations of work versus 4*depth+1 FD evaluations per iteration.
-  bool adam_finite_difference = false;
 };
 
 /// Complete record of one QAOA run, including everything the dataset

@@ -9,8 +9,7 @@ namespace qgnn {
 
 WarmStartAnsatz::WarmStartAnsatz(const Graph& g, std::uint64_t classical_cut,
                                  double regularization)
-    : graph_(g),
-      cost_(g),
+    : ansatz_(g),
       classical_cut_(classical_cut),
       regularization_(regularization) {
   QGNN_REQUIRE(regularization > 0.0 && regularization <= 0.5,
@@ -35,8 +34,8 @@ StateVector WarmStartAnsatz::initial_state() const {
 StateVector WarmStartAnsatz::prepare_state(const QaoaParams& params) const {
   StateVector state = initial_state();
   for (int layer = 0; layer < params.depth(); ++layer) {
-    cost_.apply_phase(state,
-                      params.gammas[static_cast<std::size_t>(layer)]);
+    state.apply_diagonal_phase(ansatz_.engine().diagonal(),
+                               params.gammas[static_cast<std::size_t>(layer)]);
     const auto rx =
         gates::rx(2.0 * params.betas[static_cast<std::size_t>(layer)]);
     for (int q = 0; q < num_qubits(); ++q) {
@@ -47,17 +46,17 @@ StateVector WarmStartAnsatz::prepare_state(const QaoaParams& params) const {
 }
 
 double WarmStartAnsatz::expectation(const QaoaParams& params) const {
-  return cost_.expectation(prepare_state(params));
+  return ansatz_.engine().expectation_of(prepare_state(params));
 }
 
 double WarmStartAnsatz::approximation_ratio(const QaoaParams& params) const {
-  const double opt = cost_.max_value();
+  const double opt = ansatz_.engine().max_value();
   if (opt == 0.0) return 1.0;
   return expectation(params) / opt;
 }
 
 double WarmStartAnsatz::initial_expectation() const {
-  return cost_.expectation(initial_state());
+  return ansatz_.engine().expectation_of(initial_state());
 }
 
 }  // namespace qgnn

@@ -24,8 +24,7 @@ class WarmStartAnsatz {
   WarmStartAnsatz(const Graph& g, std::uint64_t classical_cut,
                   double regularization = 0.25);
 
-  const CostHamiltonian& cost() const { return cost_; }
-  int num_qubits() const { return cost_.num_qubits(); }
+  int num_qubits() const { return ansatz_.num_qubits(); }
   double regularization() const { return regularization_; }
 
   /// The biased initial product state (before any QAOA layer).
@@ -42,8 +41,7 @@ class WarmStartAnsatz {
   double initial_expectation() const;
 
  private:
-  Graph graph_;
-  CostHamiltonian cost_;
+  QaoaAnsatz ansatz_;  // the cut table C and its optimum
   std::uint64_t classical_cut_;
   double regularization_;
 };

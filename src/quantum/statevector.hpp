@@ -15,10 +15,10 @@ namespace qgnn {
 using Amplitude = std::complex<double>;
 
 /// Hard cap on simulable qubit counts, shared by every 2^n-sized component
-/// (StateVector, Circuit, CostHamiltonian, DiagonalQaoa, PauliString,
-/// IsingModel, dataset generation). 2^20 amplitudes is 16 MiB per state —
-/// large enough for every experiment in the repo (benches sweep to n = 18)
-/// while keeping per-thread evaluation workspaces cheap enough to cache.
+/// (StateVector, Circuit, QaoaEvalEngine, QaoaAnsatz, dataset generation).
+/// 2^20 amplitudes is 16 MiB per state — large enough for every
+/// experiment in the repo (benches sweep to n = 18) while keeping
+/// per-thread evaluation workspaces cheap enough to cache.
 /// The bitmask-based Max-Cut brute-force solver has its own, higher cap
 /// (26) because it never materializes a statevector.
 inline constexpr int kMaxQubits = 20;

@@ -11,9 +11,6 @@ namespace qgnn::simd {
 // x86-64 and non-x86 hosts.
 namespace detail {
 #if defined(QGNN_SIMD_AVX2)
-void phase_table_avx2(double* amps, const std::uint16_t* lev,
-                      const double* table, std::uint64_t lo,
-                      std::uint64_t hi);
 void rx_block_avx2(double* amps, int nq, double c, double s);
 void rx_pairs_avx2(double* lo, double* hi, std::uint64_t count, double c,
                    double s);
@@ -120,7 +117,8 @@ Tables build_tables() {
   Tables t;
 #if defined(QGNN_SIMD_AVX2)
   if (__builtin_cpu_supports("avx2")) {
-    t.avx2.phase_table = &detail::phase_table_avx2;
+    // phase_table stays generic: two 4-wide gathers per 4 states lose to
+    // the scalar table loop (BM_PhaseTableIsa).
     t.avx2.rx_block = &detail::rx_block_avx2;
     t.avx2.rx_pairs = &detail::rx_pairs_avx2;
     t.avx2.scaled_assign = &detail::scaled_assign_avx2;

@@ -21,16 +21,12 @@ namespace {
 
 // --- interleaved-layout helpers (statevector) -----------------------
 
-// Sign masks for XOR-based sign flips. Flipping the sign bit is exact,
+// Sign mask for XOR-based sign flips. Flipping the sign bit is exact,
 // and a + (-b) produces the same bits as a - b, so a single
 // add-after-flip covers both signs of a butterfly with the scalar
 // rounding sequence.
 inline __m256d negate_odd_lanes() {
   return _mm256_setr_pd(0.0, -0.0, 0.0, -0.0);
-}
-
-inline __m256d negate_even_lanes() {
-  return _mm256_setr_pd(-0.0, 0.0, -0.0, 0.0);
 }
 
 // One interleaved RX pair step on full registers: vl/vh hold two
@@ -57,51 +53,9 @@ inline __m256d butterfly0_interleaved(__m256d v, __m256d vc, __m256d vs,
                        _mm256_xor_pd(_mm256_mul_pd(vs, w), sign));
 }
 
-// Interleaved complex multiply of two amplitudes by two table phases:
-// v = [re0, im0, re1, im1], t = [tr0, ti0, tr1, ti1]. Per complex
-//   re' = re*tr - im*ti,  im' = re*ti + im*tr
-// = dup_re(v)*t + (-,+)-signed dup_im(v)*swap(t).
-inline __m256d complex_mul_interleaved(__m256d v, __m256d t, __m256d sign) {
-  const __m256d va = _mm256_movedup_pd(v);       // [re0, re0, re1, re1]
-  const __m256d vb = _mm256_permute_pd(v, 0xF);  // [im0, im0, im1, im1]
-  const __m256d ts = _mm256_permute_pd(t, 0x5);  // [ti0, tr0, ti1, tr1]
-  return _mm256_add_pd(_mm256_mul_pd(va, t),
-                       _mm256_xor_pd(_mm256_mul_pd(vb, ts), sign));
-}
-
 }  // namespace
 
 // --- interleaved-layout kernels -------------------------------------
-
-void phase_table_avx2(double* amps, const std::uint16_t* lev,
-                      const double* table, std::uint64_t lo,
-                      std::uint64_t hi) {
-  const __m256d sign = negate_even_lanes();
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  std::uint64_t k = lo;
-  for (; k + 4 <= hi; k += 4) {
-    // Gather tr/ti for 4 states (table stride is one complex = 16
-    // bytes, hence index 2*lev at scale 8), then interleave them back
-    // into the amplitude layout.
-    const __m128i lev16 =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(lev + k));
-    const __m128i idx = _mm_slli_epi32(_mm_cvtepu16_epi32(lev16), 1);
-    const __m256d tr =
-        _mm256_mask_i32gather_pd(_mm256_setzero_pd(), table, idx, ones, 8);
-    const __m256d ti = _mm256_mask_i32gather_pd(_mm256_setzero_pd(),
-                                                table + 1, idx, ones, 8);
-    const __m256d unlo = _mm256_unpacklo_pd(tr, ti);  // [t0, t2] pairs
-    const __m256d unhi = _mm256_unpackhi_pd(tr, ti);  // [t1, t3] pairs
-    const __m256d t01 = _mm256_permute2f128_pd(unlo, unhi, 0x20);
-    const __m256d t23 = _mm256_permute2f128_pd(unlo, unhi, 0x31);
-    const __m256d v01 = _mm256_loadu_pd(amps + 2 * k);
-    const __m256d v23 = _mm256_loadu_pd(amps + 2 * k + 4);
-    _mm256_storeu_pd(amps + 2 * k, complex_mul_interleaved(v01, t01, sign));
-    _mm256_storeu_pd(amps + 2 * k + 4,
-                     complex_mul_interleaved(v23, t23, sign));
-  }
-  impl::phase_run_scalar(amps, lev, table, k, hi);
-}
 
 void rx_pairs_avx2(double* lo, double* hi, std::uint64_t count, double c,
                    double s) {

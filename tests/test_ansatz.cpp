@@ -103,13 +103,12 @@ TEST(Ansatz, FastPathMatchesExplicitCircuit) {
     const QaoaParams params({rng.uniform(0, 6.28), rng.uniform(0, 6.28)},
                             {rng.uniform(0, 3.14), rng.uniform(0, 3.14)});
     const StateVector fast = ansatz.prepare_state(params);
-    const StateVector slow =
-        ansatz.build_circuit(params).simulate_from_plus();
+    const StateVector slow = qaoa_circuit(g, params).simulate_from_plus();
     // Equal up to global phase.
     EXPECT_NEAR(fast.fidelity(slow), 1.0, 1e-10);
     // And expectations agree exactly.
-    EXPECT_NEAR(ansatz.cost().expectation(fast),
-                ansatz.cost().expectation(slow), 1e-10);
+    EXPECT_NEAR(ansatz.engine().expectation_of(fast),
+                ansatz.engine().expectation_of(slow), 1e-10);
   }
 }
 
@@ -119,7 +118,7 @@ TEST(Ansatz, WeightedGraphFastPathMatchesCircuit) {
   const QaoaAnsatz ansatz(g);
   const QaoaParams params = QaoaParams::single(0.9, 0.35);
   const StateVector fast = ansatz.prepare_state(params);
-  const StateVector slow = ansatz.build_circuit(params).simulate_from_plus();
+  const StateVector slow = qaoa_circuit(g, params).simulate_from_plus();
   EXPECT_NEAR(fast.fidelity(slow), 1.0, 1e-10);
 }
 
@@ -147,9 +146,8 @@ TEST(Ansatz, DeeperCircuitsCanOnlyHelpAtOptimum) {
 }
 
 TEST(Ansatz, CircuitGateCounts) {
-  const Graph g = cycle_graph(5);
-  const QaoaAnsatz ansatz(g);
-  const Circuit c = ansatz.build_circuit(QaoaParams::single(0.5, 0.25));
+  const Circuit c =
+      qaoa_circuit(cycle_graph(5), QaoaParams::single(0.5, 0.25));
   // p=1: one RZZ per edge + one RX per node.
   EXPECT_EQ(c.two_qubit_gate_count(), 5u);
   EXPECT_EQ(c.size(), 10u);

@@ -6,10 +6,8 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "ising/ising.hpp"
 #include "maxcut/maxcut.hpp"
-#include "qaoa/cost_hamiltonian.hpp"
-#include "qaoa/diagonal_qaoa.hpp"
+#include "qaoa/ansatz.hpp"
 #include "qaoa/rqaoa.hpp"
 #include "util/crc32.hpp"
 #include "util/error.hpp"
@@ -17,24 +15,29 @@
 namespace qgnn {
 namespace {
 
-TEST(CostHamiltonian, DiagonalMatchesCutValues) {
+// The cost Hamiltonian C of the Max-Cut ansatz, as the cut table that
+// QaoaAnsatz builds and hands to its QaoaEvalEngine.
+
+TEST(CutTable, DiagonalMatchesCutValues) {
   Rng rng(3);
   const Graph g = erdos_renyi_graph(6, 0.5, rng);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
+  const QaoaEvalEngine& cost = ansatz.engine();
   for (std::uint64_t x = 0; x < cost.dimension(); ++x) {
-    EXPECT_DOUBLE_EQ(cost.value(x), cut_value(g, x)) << "state " << x;
+    EXPECT_DOUBLE_EQ(cost.diagonal()[x], cut_value(g, x)) << "state " << x;
   }
 }
 
-TEST(CostHamiltonian, WeightedDiagonal) {
+TEST(CutTable, WeightedDiagonal) {
   Graph g(3);
   g.add_edge(0, 1, 2.0);
   g.add_edge(1, 2, 0.25);
-  const CostHamiltonian cost(g);
-  EXPECT_DOUBLE_EQ(cost.value(0b010), 2.25);
-  EXPECT_DOUBLE_EQ(cost.value(0b001), 2.0);
-  EXPECT_DOUBLE_EQ(cost.value(0b100), 0.25);
-  EXPECT_DOUBLE_EQ(cost.value(0b000), 0.0);
+  const QaoaAnsatz ansatz(g);
+  const std::span<const double> cost = ansatz.engine().diagonal();
+  EXPECT_DOUBLE_EQ(cost[0b010], 2.25);
+  EXPECT_DOUBLE_EQ(cost[0b001], 2.0);
+  EXPECT_DOUBLE_EQ(cost[0b100], 0.25);
+  EXPECT_DOUBLE_EQ(cost[0b000], 0.0);
 }
 
 class MaxValueTest : public ::testing::TestWithParam<int> {};
@@ -42,66 +45,71 @@ class MaxValueTest : public ::testing::TestWithParam<int> {};
 TEST_P(MaxValueTest, MatchesBruteForce) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const Graph g = erdos_renyi_graph(GetParam(), 0.5, rng);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
+  const QaoaEvalEngine& cost = ansatz.engine();
   const Cut opt = max_cut_brute_force(g);
   EXPECT_DOUBLE_EQ(cost.max_value(), opt.value);
-  EXPECT_DOUBLE_EQ(cost.value(cost.argmax()), cost.max_value());
+  EXPECT_DOUBLE_EQ(cost.diagonal()[cost.argmax()], cost.max_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(SizeSweep, MaxValueTest,
                          ::testing::Values(3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
 
-TEST(CostHamiltonian, ApplyPhasePreservesNormAndProbabilities) {
-  const Graph g = cycle_graph(5);
-  const CostHamiltonian cost(g);
+TEST(CutTable, ApplyPhasePreservesNormAndProbabilities) {
+  const QaoaAnsatz ansatz(cycle_graph(5));
   StateVector s = StateVector::plus_state(5);
-  cost.apply_phase(s, 0.83);
+  s.apply_diagonal_phase(ansatz.engine().diagonal(), 0.83);
   EXPECT_NEAR(s.norm(), 1.0, 1e-12);
   for (std::uint64_t k = 0; k < 32; ++k) {
     EXPECT_NEAR(s.probability(k), 1.0 / 32.0, 1e-12);
   }
 }
 
-TEST(CostHamiltonian, ExpectationOnBasisStates) {
-  const Graph g = path_graph(3);
-  const CostHamiltonian cost(g);
+TEST(CutTable, ExpectationOnBasisStates) {
+  const QaoaAnsatz ansatz(path_graph(3));
+  const QaoaEvalEngine& cost = ansatz.engine();
   for (std::uint64_t x = 0; x < 8; ++x) {
     const StateVector s = StateVector::basis_state(3, x);
-    EXPECT_NEAR(cost.expectation(s), cost.value(x), 1e-12);
+    EXPECT_NEAR(cost.expectation_of(s), cost.diagonal()[x], 1e-12);
   }
 }
 
-TEST(CostHamiltonian, ExpectationOnPlusStateIsHalfWeight) {
+TEST(CutTable, ExpectationOnPlusStateIsHalfWeight) {
   // <+|C|+> = sum_e w_e / 2 (each edge crossed with prob 1/2).
   Graph g(4);
   g.add_edge(0, 1, 1.5);
   g.add_edge(2, 3, 2.0);
   g.add_edge(0, 3, 1.0);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const StateVector s = StateVector::plus_state(4);
-  EXPECT_NEAR(cost.expectation(s), g.total_weight() / 2.0, 1e-12);
+  EXPECT_NEAR(ansatz.engine().expectation_of(s), g.total_weight() / 2.0,
+              1e-12);
 }
 
-TEST(CostHamiltonian, MismatchedStateThrows) {
-  const CostHamiltonian cost(cycle_graph(4));
+TEST(CutTable, MismatchedStateThrows) {
+  const QaoaAnsatz ansatz(cycle_graph(4));
   StateVector s(3);
-  EXPECT_THROW(cost.apply_phase(s, 0.1), InvalidArgument);
-  EXPECT_THROW(cost.expectation(s), InvalidArgument);
+  EXPECT_THROW(s.apply_diagonal_phase(ansatz.engine().diagonal(), 0.1),
+               InvalidArgument);
+  EXPECT_THROW(ansatz.engine().expectation_of(s), InvalidArgument);
 }
 
-TEST(CostHamiltonian, RejectsGraphsOutsideTheSimulableRange) {
+TEST(CutTable, RejectsGraphsOutsideTheSimulableRange) {
   // Checked before any table is allocated, on both build paths.
   Graph weighted(kMaxQubits + 1);
   weighted.add_edge(0, 1, 2.0);
-  EXPECT_THROW(CostHamiltonian{Graph(0)}, InvalidArgument);
-  EXPECT_THROW(CostHamiltonian{Graph(kMaxQubits + 1)}, InvalidArgument);
-  EXPECT_THROW(CostHamiltonian{weighted}, InvalidArgument);
+  EXPECT_THROW(QaoaAnsatz{Graph(0)}, InvalidArgument);
+  EXPECT_THROW(QaoaAnsatz{Graph(kMaxQubits + 1)}, InvalidArgument);
+  EXPECT_THROW(QaoaAnsatz{weighted}, InvalidArgument);
 }
 
-TEST(CostHamiltonian, EdgelessGraphHasZeroCost) {
-  const CostHamiltonian cost(Graph(3));
+TEST(CutTable, EdgelessGraphHasZeroCost) {
+  const QaoaAnsatz ansatz(Graph(3));
+  const QaoaEvalEngine& cost = ansatz.engine();
   EXPECT_DOUBLE_EQ(cost.max_value(), 0.0);
-  for (std::uint64_t x = 0; x < 8; ++x) EXPECT_DOUBLE_EQ(cost.value(x), 0.0);
+  for (std::uint64_t x = 0; x < 8; ++x) {
+    EXPECT_DOUBLE_EQ(cost.diagonal()[x], 0.0);
+  }
 }
 
 // ---- pinned tables ------------------------------------------------------
@@ -120,23 +128,18 @@ std::uint64_t fold(std::uint64_t h, std::uint64_t v) {
   return h ^ (h >> 29);
 }
 
-std::uint64_t fold_table(std::uint64_t h, std::span<const double> diag,
-                         double max_value, std::uint64_t argmax,
-                         const QaoaEvalEngine& engine) {
-  h = fold(h, diag.size());
-  h = fold(h, crc32_ieee(diag.data(), diag.size() * sizeof(double)));
-  h = fold(h, std::bit_cast<std::uint64_t>(max_value));
-  h = fold(h, argmax);
-  h = fold(h, engine.num_levels());
-  return fold(h, engine.phase_table_active() ? 1 : 0);
-}
-
 std::uint64_t cost_digest(const std::vector<Graph>& graphs) {
   std::uint64_t h = 0;
   for (const Graph& g : graphs) {
-    const CostHamiltonian cost(g);
-    h = fold_table(h, cost.diagonal(), cost.max_value(), cost.argmax(),
-                   cost.engine());
+    const QaoaAnsatz ansatz(g);
+    const QaoaEvalEngine& engine = ansatz.engine();
+    const std::span<const double> diag = engine.diagonal();
+    h = fold(h, diag.size());
+    h = fold(h, crc32_ieee(diag.data(), diag.size() * sizeof(double)));
+    h = fold(h, std::bit_cast<std::uint64_t>(engine.max_value()));
+    h = fold(h, engine.argmax());
+    h = fold(h, engine.num_levels());
+    h = fold(h, engine.phase_table_active() ? 1 : 0);
   }
   return h;
 }
@@ -247,7 +250,7 @@ std::vector<Graph> real_weight_corpus() {
   return corpus;
 }
 
-TEST(CostHamiltonian, PinnedCorporaCoverTheirShapes) {
+TEST(CutTable, PinnedCorporaCoverTheirShapes) {
   const std::vector<Graph> regular = regular_corpus();
   EXPECT_EQ(regular.size(), 3u * 70u);
   int isolated = 0;
@@ -263,39 +266,13 @@ TEST(CostHamiltonian, PinnedCorporaCoverTheirShapes) {
   for (const Graph& g : real_weight_corpus()) EXPECT_FALSE(g.is_unweighted());
 }
 
-TEST(CostHamiltonian, TablesMatchPinnedDigests) {
+TEST(CutTable, TablesMatchPinnedDigests) {
   EXPECT_EQ(cost_digest(regular_corpus()), 0xf3395cad77cb3c64ULL);
   EXPECT_EQ(cost_digest(erdos_renyi_corpus()), 0xa12e41fc8be2140fULL);
   EXPECT_EQ(cost_digest(tiny_corpus()), 0xd3d3c13df45e89acULL);
   EXPECT_EQ(cost_digest(large_corpus()), 0x2465940669bfe840ULL);
   EXPECT_EQ(cost_digest(integer_weight_corpus()), 0xfd43991760507eabULL);
   EXPECT_EQ(cost_digest(real_weight_corpus()), 0x823f65c566961561ULL);
-
-  // DiagonalQaoa over Ising energies: a Max-Cut instance mapped to spins,
-  // and random models with integer and with real fields and couplings.
-  std::uint64_t ising = 0;
-  Rng rng(61);
-  std::vector<IsingModel> models;
-  models.push_back(maxcut_to_ising(random_regular_graph(10, 3, rng)));
-  for (const bool integral : {true, false}) {
-    IsingModel model(9);
-    for (int i = 0; i < 9; ++i) {
-      const double h = integral ? rng.uniform_int(-2, 2) : rng.uniform(-1, 1);
-      model.set_field(i, h);
-      for (int j = i + 1; j < 9; j += 2) {
-        model.add_coupling(
-            i, j, integral ? rng.uniform_int(-3, 3) : rng.uniform(-1, 1));
-      }
-    }
-    model.set_offset(integral ? 4.0 : 0.5);
-    models.push_back(model);
-  }
-  for (const IsingModel& model : models) {
-    const DiagonalQaoa qaoa = model.to_qaoa();
-    ising = fold_table(ising, qaoa.diagonal(), qaoa.max_value(), qaoa.argmax(),
-                       qaoa.engine());
-  }
-  EXPECT_EQ(ising, 0xa76f969a9869ab77ULL);
 }
 
 }  // namespace

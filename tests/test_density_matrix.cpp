@@ -75,11 +75,12 @@ TEST(DensityMatrix, UnitaryEvolutionMatchesStateVector) {
 
 TEST(DensityMatrix, DiagonalPhaseMatchesStateVector) {
   const Graph g = cycle_graph(4);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
+  const std::span<const double> cost = ansatz.engine().diagonal();
   StateVector psi = StateVector::plus_state(4);
   DensityMatrix rho = DensityMatrix::from_state(psi);
-  cost.apply_phase(psi, 0.73);
-  rho.apply_diagonal_phase(cost.diagonal(), 0.73);
+  psi.apply_diagonal_phase(cost, 0.73);
+  rho.apply_diagonal_phase(cost, 0.73);
   EXPECT_NEAR(rho.fidelity(psi), 1.0, 1e-9);
 }
 

@@ -78,7 +78,7 @@ TEST(KnnInitializer, TransfersWellWithinDegreeClass) {
     e.graph = std::move(g);
     e.degree = 3;
     e.label = angles;
-    e.optimum = ansatz.cost().max_value();
+    e.optimum = ansatz.engine().max_value();
     e.expectation = ansatz.expectation(angles);
     e.approximation_ratio = e.expectation / e.optimum;
     train.push_back(std::move(e));

@@ -159,7 +159,7 @@ TEST(FixedAngleAudit, NeverDecreasesAnyAr) {
     e.graph = random_regular_graph(8, d, rng);
     e.degree = d;
     QaoaAnsatz ansatz(e.graph);
-    e.optimum = ansatz.cost().max_value();
+    e.optimum = ansatz.engine().max_value();
     e.label = QaoaParams::single(rng.uniform(0, 6.28), rng.uniform(0, 3.14));
     e.expectation = ansatz.expectation(e.label);
     e.approximation_ratio = e.expectation / e.optimum;

@@ -5,8 +5,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "qaoa/cost_hamiltonian.hpp"
-#include "qaoa/diagonal_qaoa.hpp"
+#include "qaoa/ansatz.hpp"
 #include "qaoa/eval_engine.hpp"
 #include "qaoa/optimize.hpp"
 #include "quantum/gates.hpp"
@@ -41,15 +40,15 @@ TEST(PhaseTable, BitIdenticalToGenericSincosOnMaxcutDiagonals) {
   Rng rng(11);
   for (int n = 4; n <= 10; n += 2) {
     const Graph g = erdos_renyi_graph(n, 0.5, rng);
-    const CostHamiltonian cost(g);
-    ASSERT_TRUE(cost.engine().phase_table_active());
+    const QaoaAnsatz ansatz(g);
+    ASSERT_TRUE(ansatz.engine().phase_table_active());
     for (int trial = 0; trial < 5; ++trial) {
       const double gamma = rng.uniform(-4.0, 4.0);
       StateVector fast = StateVector::plus_state(n);
       StateVector ref = StateVector::plus_state(n);
       std::vector<Amplitude> table;
-      cost.engine().apply_cost_layer(fast, gamma, table);
-      ref.apply_diagonal_phase(cost.diagonal(), gamma);
+      ansatz.engine().apply_cost_layer(fast, gamma, table);
+      ref.apply_diagonal_phase(ansatz.engine().diagonal(), gamma);
       for (std::uint64_t k = 0; k < fast.dimension(); ++k) {
         // Exact ==: the table stores the same cos/sin the generic path
         // computes, so the fast layer must be bit-identical, not just
@@ -64,15 +63,15 @@ TEST(PhaseTable, SortedLevelPathHandlesWeightedGraphs) {
   Rng rng(12);
   const Graph g =
       with_random_weights(erdos_renyi_graph(8, 0.6, rng), 0.1, 2.0, rng);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   // Weighted cut values are not small integers; the engine must fall back
   // to sorted distinct levels and still be active (few distinct sums).
-  EXPECT_TRUE(cost.engine().phase_table_active());
+  EXPECT_TRUE(ansatz.engine().phase_table_active());
   Rng prng(13);
   const QaoaParams params = random_params(2, prng);
-  const StateVector ref = cost.engine().prepare_state_reference(params);
+  const StateVector ref = ansatz.engine().prepare_state_reference(params);
   EvalWorkspace ws;
-  expect_states_close(cost.engine().prepare_state(params, ws), ref, 1e-12);
+  expect_states_close(ansatz.engine().prepare_state(params, ws), ref, 1e-12);
 }
 
 TEST(PhaseTable, FallbackPathMatchesWhenLevelBudgetExceeded) {
@@ -127,40 +126,29 @@ TEST(EvalEngine, PreparedStateMatchesReferenceImplementation) {
     const int n = 4 + trial % 6;
     const int depth = 1 + trial % 3;
     const Graph g = erdos_renyi_graph(n, 0.5, rng);
-    const CostHamiltonian cost(g);
+    const QaoaAnsatz ansatz(g);
     const QaoaParams params = random_params(depth, rng);
-    const StateVector ref = cost.engine().prepare_state_reference(params);
-    expect_states_close(cost.engine().prepare_state(params, ws), ref, 1e-12);
-    EXPECT_NEAR(cost.engine().expectation(params, ws),
-                cost.engine().expectation_reference(params), 1e-12);
+    const StateVector ref = ansatz.engine().prepare_state_reference(params);
+    expect_states_close(ansatz.engine().prepare_state(params, ws), ref, 1e-12);
+    EXPECT_NEAR(ansatz.engine().expectation(params, ws),
+                ansatz.engine().expectation_reference(params), 1e-12);
   }
-}
-
-TEST(EvalEngine, DiagonalQaoaStillMatchesGraphAnsatz) {
-  Rng rng(32);
-  const Graph g = erdos_renyi_graph(7, 0.6, rng);
-  const CostHamiltonian cost(g);
-  const DiagonalQaoa dq(7, std::vector<double>(cost.diagonal().begin(),
-                                               cost.diagonal().end()));
-  const QaoaParams params = random_params(2, rng);
-  EXPECT_NEAR(dq.expectation(params),
-              cost.engine().expectation_reference(params), 1e-12);
 }
 
 TEST(EvalEngine, WorkspaceReuseIsDeterministic) {
   Rng rng(33);
   const Graph g = erdos_renyi_graph(8, 0.5, rng);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams a = random_params(2, rng);
   const QaoaParams b = random_params(2, rng);
   EvalWorkspace ws;
-  const double first_a = cost.engine().expectation(a, ws);
-  const double first_b = cost.engine().expectation(b, ws);
+  const double first_a = ansatz.engine().expectation(a, ws);
+  const double first_b = ansatz.engine().expectation(b, ws);
   for (int i = 0; i < 5; ++i) {
     // Interleaved re-evaluations through one workspace must be bit-stable:
     // nothing may leak from the previous preparation.
-    EXPECT_EQ(cost.engine().expectation(b, ws), first_b);
-    EXPECT_EQ(cost.engine().expectation(a, ws), first_a);
+    EXPECT_EQ(ansatz.engine().expectation(b, ws), first_b);
+    EXPECT_EQ(ansatz.engine().expectation(a, ws), first_a);
   }
 }
 
@@ -173,8 +161,8 @@ TEST(AdjointGradient, MatchesFiniteDifferences) {
     const int n = 5 + trial % 4;
     const int depth = 1 + trial % 3;
     const Graph g = erdos_renyi_graph(n, 0.6, rng);
-    const CostHamiltonian cost(g);
-    const QaoaEvalEngine& engine = cost.engine();
+    const QaoaAnsatz ansatz(g);
+    const QaoaEvalEngine& engine = ansatz.engine();
     const QaoaParams params = random_params(depth, rng);
 
     std::vector<double> grad;
@@ -197,8 +185,8 @@ TEST(AdjointGradient, MatchesFiniteDifferences) {
 TEST(AdjointGradient, GradientAdamMatchesFiniteDifferenceAdamQuality) {
   Rng rng(42);
   const Graph g = erdos_renyi_graph(8, 0.5, rng);
-  const CostHamiltonian cost(g);
-  const QaoaEvalEngine& engine = cost.engine();
+  const QaoaAnsatz ansatz(g);
+  const QaoaEvalEngine& engine = ansatz.engine();
   EvalWorkspace ws;
 
   const std::vector<double> start = {0.4, 0.3};
@@ -230,7 +218,7 @@ TEST(QaoaFastParallel, ExpectationAndGradientAreThreadCountInvariant) {
   // 2^15 amplitudes: all kernels cross the parallel threshold.
   const int n = 15;
   const Graph g = erdos_renyi_graph(n, 0.3, rng);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = random_params(2, rng);
 
   const int original = ThreadPool::configured_threads();
@@ -240,8 +228,8 @@ TEST(QaoaFastParallel, ExpectationAndGradientAreThreadCountInvariant) {
     ThreadPool::set_global_threads(threads);
     EvalWorkspace ws;
     std::vector<double> grad;
-    const double value = cost.engine().value_and_gradient(params, grad, ws);
-    const double expect = cost.engine().expectation(params, ws);
+    const double value = ansatz.engine().value_and_gradient(params, grad, ws);
+    const double expect = ansatz.engine().expectation(params, ws);
     if (threads == 1) {
       base_value = value;
       base_grad = grad;
